@@ -22,8 +22,8 @@ from .errors import (
     SolverError,
 )
 from .meshgen import (
+    SphericalConfig,
     canonical_base_name,
-    convex_hull_triangulation,
     expected_cardinality,
     generate,
 )
@@ -76,7 +76,7 @@ def read_config_csv(path):
         raise ParameterError(f"{path}: empty configuration file")
     pts = np.array(rows)
     radii = np.sqrt((pts * pts).sum(axis=1))
-    if np.any(np.abs(radii - 1.0) > 1e-9):
+    if not np.all(np.abs(radii - 1.0) <= 1e-9):
         raise GeometryError(f"{path}: points are not on the unit sphere")
     return pts
 
@@ -111,15 +111,14 @@ def _write_output(text, out_path):
             fh.write(text)
 
 
-def _export_text(points, fmt, n, base, seq, report=None):
+def _export_text(cfg, fmt, seq, report=None):
     buf = io.StringIO()
     if fmt == "csv":
-        write_config_csv(points, buf)
+        write_config_csv(cfg.points, buf)
     elif fmt == "obj":
-        mesh = convex_hull_triangulation(points)
-        write_obj(points, mesh.faces, buf)
+        write_obj(cfg.points, cfg.hull().faces, buf)
     elif fmt == "json":
-        json.dump(_metadata(n, base, seq, report), buf, indent=2)
+        json.dump(_metadata(cfg.n, cfg.base, seq, report), buf, indent=2)
         buf.write("\n")
     else:
         raise ParameterError(f"unknown format {fmt!r}")
@@ -136,7 +135,7 @@ def cmd_generate(args):
     pairs = parse_sequence(args.seq)
     cfg = generate(args.base, pairs)
     seq = format_sequence(pairs)
-    text = _export_text(cfg.points, args.format, cfg.n, cfg.base, seq)
+    text = _export_text(cfg, args.format, seq)
     _write_output(text, args.out)
     if args.out is not None and args.format in ("csv", "obj"):
         _write_sidecar(args.out, cfg.n, cfg.base, seq)
@@ -275,12 +274,12 @@ def cmd_sweep(args):
 
 
 def cmd_export(args):
-    pts = read_config_csv(args.infile)
-    report = evaluate(pts) if args.format == "json" else None
-    text = _export_text(pts, args.format, len(pts), None, None, report)
+    cfg = SphericalConfig(points=read_config_csv(args.infile))
+    report = evaluate(cfg) if args.format == "json" else None
+    text = _export_text(cfg, args.format, None, report)
     _write_output(text, args.out)
     if args.out is not None and args.format in ("csv", "obj"):
-        _write_sidecar(args.out, len(pts), None, None, report)
+        _write_sidecar(args.out, cfg.n, None, None, report)
     return 0
 
 

@@ -173,41 +173,39 @@ def base_polyhedron(name):
 
 
 def _unique_edges(faces, n_vertices):
-    """Undirected edges of a closed mesh with their two flanking apexes.
+    """Undirected edges of a closed, consistently oriented mesh.
 
-    Returns (edges, apexes): edges is (E, 2) with lower index first,
-    apexes is (E, 2).  Raises GeometryError unless every edge is shared
-    by exactly two faces.
+    Returns (E, 2) with the lower index first, sorted.  In such a mesh
+    every edge is traversed once in each direction, so the half-edges with
+    i < j are the edges and the remaining half-edges are exactly their
+    reversals.  Raises GeometryError otherwise.
     """
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    apex = np.concatenate([faces[:, 2], faces[:, 0], faces[:, 1]])
-    lo = e.min(axis=1)
-    hi = e.max(axis=1)
-    key = lo.astype(np.int64) * np.int64(n_vertices) + hi
-    order = np.argsort(key, kind="stable")
-    key_sorted = key[order]
-    uniq, start, counts = np.unique(key_sorted, return_index=True, return_counts=True)
-    if np.any(counts != 2):
-        raise GeometryError("mesh is not a closed 2-manifold (edge not shared by 2 faces)")
-    edges = np.column_stack([uniq // n_vertices, uniq % n_vertices])
-    apexes = np.column_stack([apex[order][start], apex[order][start + 1]])
-    return edges, apexes
+    f = np.asarray(faces, dtype=np.int64)
+    e = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+    up = e[:, 0] < e[:, 1]
+    key = np.sort(e[up, 0] * n_vertices + e[up, 1])
+    twin = np.sort(e[~up, 1] * n_vertices + e[~up, 0])
+    if not np.array_equal(key, twin) or np.any(key[1:] == key[:-1]):
+        raise GeometryError(
+            "mesh is not a closed, consistently oriented 2-manifold "
+            "(edge not traversed once in each direction)"
+        )
+    return np.column_stack([key // n_vertices, key % n_vertices])
 
 
 def validate_mesh(mesh, sphere_tol=1e-12):
-    """Assert closed-manifold structure, Euler characteristic and unit radii."""
+    """Assert a closed, consistently and outward oriented mesh of unit radii.
+
+    Also checks the Euler characteristic; a non-finite vertex fails the
+    radius check.
+    """
     v, f = mesh.vertices, mesh.faces
     radii = np.sqrt((v * v).sum(axis=1))
-    if np.any(np.abs(radii - 1.0) > sphere_tol):
+    if not np.all(np.abs(radii - 1.0) <= sphere_tol):
         raise GeometryError("mesh vertices are not on the unit sphere")
-    edges, _ = _unique_edges(f, len(v))
+    edges = _unique_edges(f, len(v))
     if len(v) - len(edges) + len(f) != 2:
         raise GeometryError("mesh violates Euler characteristic V - E + F = 2")
-    # Orientation consistency: each undirected edge traversed once per direction.
-    directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    key = directed[:, 0].astype(np.int64) * np.int64(len(v)) + directed[:, 1]
-    if len(np.unique(key)) != len(key):
-        raise GeometryError("mesh faces are not consistently oriented")
     a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
     if np.any((np.cross(b - a, c - a) * (a + b + c)).sum(axis=1) <= 0.0):
         raise GeometryError("mesh has inward-facing faces")
@@ -257,7 +255,7 @@ def _merge_near_duplicates(points):
 
 
 def subdivide_mesh(mesh, pair, base=None):
-    """One grid-refinement pass over every face of a closed mesh.
+    """One grid-refinement pass over every face of a closed, oriented mesh.
 
     Nodes shared between faces are produced exactly once, so the fusion of
     per-face grids never depends on a dedup tolerance: mesh vertices are
@@ -274,7 +272,7 @@ def subdivide_mesh(mesh, pair, base=None):
     v = np.asarray(mesh.vertices, dtype=np.float64)
     f = np.asarray(mesh.faces, dtype=np.int64)
     radii = np.sqrt((v * v).sum(axis=1))
-    if np.any(np.abs(radii - 1.0) > 1e-12):
+    if not np.all(np.abs(radii - 1.0) <= 1e-12):
         raise GeometryError("mesh vertices must lie on the unit sphere")
     n_vertices = len(v)
     gamma = triangulation_number(m, n)
@@ -290,7 +288,7 @@ def subdivide_mesh(mesh, pair, base=None):
     int_lb = beta[is_interior] / float(gamma)
     n_int = int(is_interior.sum())
 
-    edges, apexes = _unique_edges(f, n_vertices)
+    edges = _unique_edges(f, n_vertices)
 
     blocks = [v]
     if gc > 1:

@@ -5,9 +5,9 @@ is the smallest pairwise distance; the covering radius is the largest
 distance from any sphere point to its nearest configuration point; their
 ratio (covering / separation) is the mesh ratio, where lower is better.
 Both extremes are read off the hull triangulation: nearest neighbours on
-the sphere are hull (Delaunay) neighbours, and the covering radius is
-attained at a spherical Voronoi vertex, i.e. at a hull-facet circumcentre
-direction.
+the sphere are hull (Delaunay) neighbours, so the separation is the
+shortest hull face edge, and the covering radius is attained at a
+spherical Voronoi vertex, i.e. at a hull-facet circumcentre direction.
 """
 
 from dataclasses import dataclass
@@ -61,19 +61,29 @@ def _as_config(config):
     return SphericalConfig(points=np.asarray(config, dtype=np.float64))
 
 
-def _hull_edges(mesh):
-    f = mesh.faces
-    e = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    lo = e.min(axis=1).astype(np.int64)
-    hi = e.max(axis=1).astype(np.int64)
-    return np.unique(lo * np.int64(len(mesh.vertices)) + hi)
+def _edge_lengths(mesh):
+    """(F, 3) chord lengths of every face's edges ab, bc and ca."""
+    v = np.asarray(mesh.vertices, dtype=np.float64)
+    f = np.asarray(mesh.faces, dtype=np.int64)
+    a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    return np.stack(
+        [
+            np.sqrt(((a - b) ** 2).sum(axis=1)),
+            np.sqrt(((b - c) ** 2).sum(axis=1)),
+            np.sqrt(((c - a) ** 2).sum(axis=1)),
+        ],
+        axis=1,
+    )
 
 
 def separation(config):
     """Smallest pairwise chord distance of the configuration.
 
-    Uses the hull edge set for O(N) work after the hull; tiny inputs
-    (fewer than 4 points) fall back to the direct pairwise scan.
+    The minimum over the hull's face edges, O(F) after the hull.  Each
+    edge is read once from each of its two faces, which leaves the
+    minimum unchanged, so no edge set is built and the result does not
+    depend on face orientation.  Tiny inputs (fewer than 4 points) fall
+    back to the direct pairwise scan.
     """
     config = _as_config(config)
     pts = config.points
@@ -83,12 +93,7 @@ def separation(config):
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
         iu = np.triu_indices(len(pts), k=1)
         return float(np.sqrt(d2[iu].min()))
-    mesh = config.hull()
-    keys = _hull_edges(mesh)
-    i = keys // len(mesh.vertices)
-    j = keys % len(mesh.vertices)
-    d2 = ((pts[i] - pts[j]) ** 2).sum(axis=-1)
-    return float(np.sqrt(d2.min()))
+    return float(_edge_lengths(config.hull()).min())
 
 
 def _facet_circumcentre_dirs(mesh):
@@ -141,17 +146,7 @@ def edge_ratios(mesh):
 
     Equals 1 exactly for an equilateral face.
     """
-    v = np.asarray(mesh.vertices, dtype=np.float64)
-    f = np.asarray(mesh.faces, dtype=np.int64)
-    a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-    lengths = np.stack(
-        [
-            np.sqrt(((a - b) ** 2).sum(axis=1)),
-            np.sqrt(((b - c) ** 2).sum(axis=1)),
-            np.sqrt(((c - a) ** 2).sum(axis=1)),
-        ],
-        axis=1,
-    )
+    lengths = _edge_lengths(mesh)
     if np.any(lengths <= 0.0):
         raise GeometryError("mesh has a degenerate face with a zero-length edge")
     return lengths.min(axis=1) / lengths.max(axis=1)

@@ -78,7 +78,7 @@ def project_to_sphere(v):
 
 def _validate_triangle(v0, va, vb):
     for u in (v0, va, vb):
-        if np.any(np.abs(_norm(u) - 1.0) > 1e-12):
+        if not np.all(np.abs(_norm(u) - 1.0) <= 1e-12):
             raise GeometryError("triangle vertices must lie on the unit sphere")
     for u, w in ((v0, va), (va, vb), (vb, v0)):
         if np.any(_norm(u - w) <= 1e-9):
@@ -279,7 +279,7 @@ def _solve_interior(v0, va, vb, la, lb, tol=_INNER_TOL, max_iter=_MAX_NEWTON):
         res[idx] = np.maximum(np.abs(pa), np.abs(pb))
 
     worst = float(res.max()) if m else 0.0
-    if worst > RESIDUAL_TOL:
+    if not worst <= RESIDUAL_TOL:
         raise SolverError(
             f"area-coordinate solve stalled at residual {worst:.3e}",
             residual=worst,
@@ -288,7 +288,7 @@ def _solve_interior(v0, va, vb, la, lb, tol=_INNER_TOL, max_iter=_MAX_NEWTON):
 
 
 def _validate_coords(la, lb):
-    if np.any(la < -1e-12) or np.any(lb < -1e-12) or np.any(la + lb > 1.0 + 1e-12):
+    if not np.all((la >= -1e-12) & (lb >= -1e-12) & (la + lb <= 1.0 + 1e-12)):
         raise DomainError("area coordinates must be in [0,1] with sum <= 1")
 
 

@@ -8,7 +8,7 @@ they are deliberately slow and guarded against large inputs.
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ParameterError
+from spheregrid import ParameterError
 
 #: refuse the O(N^2) scan beyond this size
 BRUTE_MAX_POINTS = 5000

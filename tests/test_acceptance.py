@@ -19,7 +19,7 @@ from spheregrid import (
     spherical_triangle_area,
 )
 from spheregrid.cli import run_sweep
-from spheregrid.oracle import brute_separation, sampled_covering
+from oracle import brute_separation, sampled_covering
 from util import BASES, random_config, random_interior_coords, random_sequence, random_triangle
 
 # Figure-caption reference values: sequence text, pairs, N, mesh ratio.

@@ -1,17 +1,31 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spheregrid import expected_cardinality, generate
+import spheregrid
+import spheregrid.meshgen as meshgen
+from spheregrid import GeometryError, expected_cardinality, generate
 from spheregrid.cli import main, read_config_csv, run_sweep
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def run_module(*args):
+    """``python -m spheregrid.cli`` in a child that imports this same package."""
+    src = str(Path(spheregrid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "spheregrid.cli", *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def test_generate_csv_line_count(tmp_path, capsys):
@@ -149,6 +163,38 @@ def test_geometry_error_exit_3(tmp_path, capsys):
     assert run_cli("metrics", "--in", str(bad)) == 3
 
 
+def test_non_finite_config_file_exit_3(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("1,0,0\n0,1,0\n0,0,1\nnan,nan,nan\n")
+    with pytest.raises(GeometryError):
+        read_config_csv(bad)
+    assert run_cli("metrics", "--in", str(bad)) == 3
+    assert run_cli("export", "--in", str(bad)) == 3
+
+
+def test_obj_output_builds_one_hull_per_pass(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = meshgen.ConvexHull
+
+    def counting(points):
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(meshgen, "ConvexHull", counting)
+    cfg_path = tmp_path / "cfg.csv"
+    assert run_cli("generate", "--seq", "1,1;2,0", "--out", str(cfg_path)) == 0
+    assert calls == [32, 122]
+    calls.clear()
+    assert run_cli("generate", "--seq", "1,1;2,0", "--format", "obj",
+                   "--out", str(tmp_path / "gen.obj")) == 0
+    assert calls == [32, 122]
+    calls.clear()
+    assert run_cli("export", "--in", str(cfg_path), "--format", "obj",
+                   "--out", str(tmp_path / "exp.obj")) == 0
+    assert calls == [122]
+    assert (tmp_path / "gen.obj").read_bytes() == (tmp_path / "exp.obj").read_bytes()
+
+
 def test_io_error_exit_4(capsys):
     code = run_cli("generate", "--base", "tetra", "--seq", "1,0",
                    "--out", "/nonexistent-dir/x.csv")
@@ -164,21 +210,13 @@ def test_malformed_config_file_exit_2(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "spheregrid.cli", "generate", "--base", "tetra",
-         "--seq", "1,0"],
-        capture_output=True, text=True,
-    )
+    proc = run_module("generate", "--base", "tetra", "--seq", "1,0")
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 4
 
 
 def test_generation_deterministic_across_processes(capsys):
-    proc = subprocess.run(
-        [sys.executable, "-m", "spheregrid.cli", "generate", "--base", "octa",
-         "--seq", "2,1"],
-        capture_output=True, text=True,
-    )
+    proc = run_module("generate", "--base", "octa", "--seq", "2,1")
     assert proc.returncode == 0
     assert run_cli("generate", "--base", "octa", "--seq", "2,1") == 0
     assert proc.stdout == capsys.readouterr().out

@@ -4,6 +4,7 @@ import pytest
 from spheregrid import (
     GeometryError,
     ParameterError,
+    TriangleMesh,
     base_polyhedron,
     convex_hull_triangulation,
     expected_cardinality,
@@ -226,3 +227,30 @@ def test_subdivide_count_check_is_enforced():
     broken = type(mesh)(vertices=mesh.vertices, faces=mesh.faces[:-1])
     with pytest.raises(GeometryError):
         subdivide_mesh(broken, (2, 0))
+
+
+def flipped_face(mesh):
+    faces = mesh.faces.copy()
+    faces[0] = faces[0, [0, 2, 1]]
+    return TriangleMesh(vertices=mesh.vertices, faces=faces)
+
+
+def open_surface(mesh):
+    return TriangleMesh(vertices=mesh.vertices, faces=mesh.faces[:-1])
+
+
+def nan_vertex(mesh):
+    vertices = mesh.vertices.copy()
+    vertices[0] = np.nan
+    return TriangleMesh(vertices=vertices, faces=mesh.faces)
+
+
+@pytest.mark.parametrize("breakage", [flipped_face, open_surface, nan_vertex])
+@pytest.mark.parametrize(
+    "check",
+    [validate_mesh, lambda mesh: subdivide_mesh(mesh, (2, 0))],
+    ids=["validate_mesh", "subdivide_mesh"],
+)
+def test_broken_mesh_is_refused(check, breakage):
+    with pytest.raises(GeometryError):
+        check(breakage(base_polyhedron("octahedron")))

@@ -13,8 +13,9 @@ from spheregrid import (
     generate,
     mesh_ratio,
     separation,
+    validate_mesh,
 )
-from spheregrid.oracle import brute_separation, sampled_covering
+from oracle import brute_separation, sampled_covering, spiral_points
 from util import random_config, unit_rows
 
 ICOSA_EDGE = 4 / np.sqrt(10 + 2 * np.sqrt(5))
@@ -43,6 +44,16 @@ def test_separation_equals_brute_force_exactly():
     for _ in range(8):
         cfg = random_config(rng, n_max=1500)
         assert separation(cfg) == brute_separation(cfg.points)
+
+
+def test_separation_ignores_face_orientation_on_a_cap():
+    # The hull of a spherical cap does not enclose the origin, so orienting
+    # faces away from it turns the cap's base faces inward.
+    probes = spiral_points(3200)
+    cap = SphericalConfig(points=probes[probes[:, 2] > 0.5])
+    with pytest.raises(GeometryError):
+        validate_mesh(cap.hull())
+    assert separation(cap) == brute_separation(cap.points)
 
 
 def test_covering_tetrahedron_analytic():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spheregrid import ParameterError, base_polyhedron
-from spheregrid.oracle import brute_separation, sampled_covering, spiral_points
+from oracle import brute_separation, sampled_covering, spiral_points
 
 TETRA_COV = np.sqrt(4 / 3)
 OCTA_COV = np.sqrt(2 - 2 / np.sqrt(3))

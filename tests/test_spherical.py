@@ -4,12 +4,14 @@ import pytest
 from spheregrid import (
     DomainError,
     GeometryError,
+    SolverError,
     area_coords,
     base_polyhedron,
     point_from_area_coords,
     project_to_sphere,
     spherical_triangle_area,
 )
+from spheregrid.spherical import _solve_interior
 from util import random_interior_coords, random_triangle, unit_rows
 
 OCTANT = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
@@ -177,6 +179,19 @@ def test_solve_rejects_bad_coords():
         point_from_area_coords(*OCTANT, 0.7, 0.7)
     with pytest.raises(DomainError):
         point_from_area_coords(*OCTANT, -0.2, 0.1)
+
+
+def test_solve_rejects_non_finite_input():
+    with pytest.raises(DomainError):
+        point_from_area_coords(*OCTANT, np.nan, 0.1)
+    with pytest.raises(GeometryError):
+        point_from_area_coords(np.array([np.nan, 0, 0]), *OCTANT[1:], 0.3, 0.3)
+
+
+def test_interior_solve_refuses_a_nan_residual():
+    v0, va, vb = (x[None, :] for x in OCTANT)
+    with pytest.raises(SolverError):
+        _solve_interior(v0, va, vb, np.array([np.nan]), np.array([0.3]))
 
 
 def test_solve_rejects_degenerate_triangle():
