@@ -18,7 +18,7 @@ class GeometryError(SphereGridError, ValueError):
 
 
 class SolverError(SphereGridError, RuntimeError):
-    """Iterative solve failed to reach tolerance.
+    """Area-coordinate solve missed its residual tolerance.
 
     Carries the worst final residual in ``residual``.
     """

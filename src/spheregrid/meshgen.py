@@ -27,7 +27,7 @@ from .spherical import _slerp, _solve_interior, _unit
 #: two generated points closer than this are treated as duplicates
 DEDUP_TOL = 1e-9
 
-#: interior solve batch size, bounds peak memory of the Newton iteration
+#: interior solve batch size, bounds peak memory of the solver temporaries
 _CHUNK = 400_000
 
 _BASE_NAMES = {

@@ -97,7 +97,11 @@ def separation(config):
 
 
 def _facet_circumcentre_dirs(mesh):
-    """Outward unit circumcentre direction of every hull facet."""
+    """Outward unit circumcentre direction of every hull facet.
+
+    Raises GeometryError if a facet plane has the origin and the vertices'
+    centroid on opposite sides, i.e. the hull leaves the origin outside.
+    """
     v = mesh.vertices
     a, b, c = v[mesh.faces[:, 0]], v[mesh.faces[:, 1]], v[mesh.faces[:, 2]]
     normals = np.cross(b - a, c - a)
@@ -110,6 +114,12 @@ def _facet_circumcentre_dirs(mesh):
             _, _, vt = np.linalg.svd(rows)
             normals[k] = vt[-1]
             norms[k] = 1.0
+    height = (normals * a).sum(axis=1)
+    if np.any(height * (normals @ v.mean(axis=0) - height) > 0.0):
+        raise GeometryError(
+            "points do not surround the origin; "
+            "the covering radius is not read off their hull"
+        )
     dirs = normals / norms[:, None]
     flip = (dirs * (a + b + c)).sum(axis=1) < 0.0
     dirs[flip] = -dirs[flip]
@@ -119,9 +129,10 @@ def _facet_circumcentre_dirs(mesh):
 def covering(config):
     """Covering radius: the largest chord from any sphere point to the set.
 
-    Exact for points in convex position: the maximum is attained at one of
-    the hull-facet circumcentre directions (the spherical Voronoi
-    vertices), so the result is the largest facet circumradius chord.
+    Exact for points whose hull surrounds the origin (others raise
+    GeometryError): the maximum is attained at one of the hull-facet
+    circumcentre directions (the spherical Voronoi vertices), so the
+    result is the largest facet circumradius chord.
     """
     config = _as_config(config)
     if len(config.points) < 4:
@@ -146,18 +157,23 @@ def edge_ratios(mesh):
 
     Equals 1 exactly for an equilateral face.
     """
-    lengths = _edge_lengths(mesh)
+    return _face_ratios(_edge_lengths(mesh))
+
+
+def _face_ratios(lengths):
+    """Per-face min/max ratio of an (F, 3) edge-chord array."""
     if np.any(lengths <= 0.0):
         raise GeometryError("mesh has a degenerate face with a zero-length edge")
     return lengths.min(axis=1) / lengths.max(axis=1)
 
 
 def evaluate(config, base=None, seq=None):
-    """Compute the full MetricsReport for a configuration."""
+    """The full MetricsReport; the face-edge chords are built once."""
     config = _as_config(config)
-    ratios = edge_ratios(config.hull())
+    lengths = _edge_lengths(config.hull())
+    ratios = _face_ratios(lengths)
     hist, _ = np.histogram(ratios, bins=EDGE_RATIO_BINS, range=(0.0, 1.0))
-    sep = separation(config)
+    sep = float(lengths.min())
     cov = covering(config)
     return MetricsReport(
         n=config.n,

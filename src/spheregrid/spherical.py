@@ -3,8 +3,10 @@
 Points on the unit sphere are (..., 3) float arrays.  A spherical triangle
 is given by three vertex vectors (v0, va, vb).  Area coordinates of a point
 p inside the triangle are the fractions of the total spherical area taken
-by the sub-triangles opposite each vertex; recovering p from prescribed
-fractions has no closed form here and is solved iteratively.
+by the sub-triangles opposite each vertex.  Recovering p from prescribed
+fractions has a closed form: by Lexell's theorem the apexes of equal area
+over a fixed base lie on one circle through the antipodes of the base's
+ends, and the two circles fixed by the fractions meet at -v0 and at p.
 """
 
 import numpy as np
@@ -14,9 +16,6 @@ from .errors import DomainError, GeometryError, SolverError
 #: residual tolerance (in area-fraction units) guaranteed by the solvers
 RESIDUAL_TOL = 1e-12
 
-_INNER_TOL = 2.5e-13
-_MAX_NEWTON = 100
-_FD_STEP = 1e-7
 _BISECT_ITERS = 62
 
 
@@ -32,29 +31,29 @@ def _unit(v):
     return v / _norm(v)[..., None]
 
 
-def _angle(a, b):
-    """Angle between unit vectors, stable for small and near-pi separations."""
-    return np.arctan2(_norm(np.cross(a, b)), _dot(a, b))
+def _signed_excess(a, b, c):
+    """Spherical excess of (a, b, c), negative when the triangle is clockwise.
 
-
-def _excess(a, b, c):
-    """Unsigned spherical excess of the triangle (a, b, c), no validation.
-
-    tan(E/2) = |a . (b x c)| / (1 + a.b + b.c + c.a); the numerator is
+    tan(E/2) = a . (b x c) / (1 + a.b + b.c + c.a); the numerator is
     evaluated as a . ((b - a) x (c - a)), which is algebraically equal and
     keeps relative accuracy for small triangles.
     """
-    num = np.abs(_dot(a, np.cross(b - a, c - a)))
+    num = _dot(a, np.cross(b - a, c - a))
     den = 1.0 + _dot(a, b) + _dot(b, c) + _dot(c, a)
     return 2.0 * np.arctan2(num, den)
 
 
+def _excess(a, b, c):
+    """Unsigned spherical excess of the triangle (a, b, c), no validation."""
+    return np.abs(_signed_excess(a, b, c))
+
+
 def _slerp(a, b, t):
     """Great-circle interpolation from a (t=0) to b (t=1)."""
-    ang = _angle(a, b)
-    s = np.sin(ang)
+    # the angle between a and b, stable for small and near-pi separations
+    ang = np.arctan2(_norm(np.cross(a, b)), _dot(a, b))
     small = ang < 1e-12
-    safe = np.where(small, 1.0, s)
+    safe = np.where(small, 1.0, np.sin(ang))
     t = np.asarray(t, dtype=np.float64)
     out = (np.sin((1.0 - t) * ang)[..., None] * a + np.sin(t * ang)[..., None] * b)
     out = out / safe[..., None]
@@ -93,9 +92,7 @@ def spherical_triangle_area(v0, va, vb):
     Broadcasts over leading dimensions.  The result is in (0, 2*pi);
     degenerate triangles raise GeometryError.
     """
-    v0 = np.asarray(v0, dtype=np.float64)
-    va = np.asarray(va, dtype=np.float64)
-    vb = np.asarray(vb, dtype=np.float64)
+    v0, va, vb = (np.asarray(x, dtype=np.float64) for x in (v0, va, vb))
     _validate_triangle(v0, va, vb)
     area = _excess(v0, va, vb)
     if np.any(area <= 0.0) or np.any(area >= 2.0 * np.pi):
@@ -117,38 +114,17 @@ def area_coords(v0, va, vb, p):
     return la, lb
 
 
-def _solve_arc(end_a, end_b, fixed1, fixed2, total, target, iters=_BISECT_ITERS):
-    """Bisection for p on the arc end_a -> end_b.
-
-    Finds p(s) = slerp(end_a, end_b, s) with
-    area(fixed1, fixed2, p) / total == target.  The fraction is monotone
-    increasing in s, from 0 at s=0; all arrays are (M, 3)/(M,).
-    """
-    lo = np.zeros(len(target))
-    hi = np.ones(len(target))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        p = _slerp(end_a, end_b, mid)
-        f = _excess(fixed1, fixed2, p) / total
-        below = f < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.all(hi - lo < 1e-17):
-            break
-    s = 0.5 * (lo + hi)
-    return _slerp(end_a, end_b, s)
-
-
 def _solve_interior_bisect(v0, va, vb, la, lb, iters=_BISECT_ITERS):
-    """Nested-bisection fallback for targets the Newton iteration misses.
+    """Nested-bisection fallback for rows the closed form leaves above tolerance.
 
-    Works in the same (u, v) parameterisation.  The inner bisection picks
-    v so that the two area fractions sum to la + lb (their sum grows
-    monotonically along the spoke from v0); the outer bisection moves the
-    spoke direction u until the fraction split matches, bracketed by the
-    two triangle sides where the split residual has opposite signs.  Slow
-    but immune to the poor initial guesses that defeat Newton on extreme
-    sliver triangles.
+    Works in a (u, v) parameterisation: q(u) = slerp(va, vb, u),
+    p(u, v) = slerp(v0, q, v).  The inner bisection picks v so that the
+    two area fractions sum to la + lb (their sum grows monotonically along
+    the spoke from v0); the outer bisection moves the spoke direction u
+    until the fraction split matches, bracketed by the two triangle sides
+    where the split residual has opposite signs.  Slow; on the extreme
+    slivers it serves, its rounding can land inside the contract where the
+    closed form's does not.
     """
     total = _excess(v0, va, vb)
     lab = la + lb
@@ -179,112 +155,79 @@ def _solve_interior_bisect(v0, va, vb, la, lb, iters=_BISECT_ITERS):
     return p
 
 
-def _solve_interior(v0, va, vb, la, lb, tol=_INNER_TOL, max_iter=_MAX_NEWTON):
-    """Damped Newton iteration for strictly interior targets.
+def _lexell(a, b, s, h):
+    """Lexell plane normal and excess gradient for apexes p over a -> b.
 
-    The unknown point is parameterised by two great-circle interpolation
-    parameters (u, v): q(u) = slerp(va, vb, u), p(u, v) = slerp(v0, q, v).
-    Residuals are the two independent area-fraction mismatches; the
-    Jacobian comes from central finite differences and steps are halved
-    until the residual norm decreases.  Rows that stall fall back to the
-    nested bisection before the residual contract is enforced.
+    With N = s p.(a x b) and D = 1 + a.b + p.(a + b), the excess of
+    (a, b, p) is E = 2 atan2(N, D), so E = 2h on the plane
+    p . (s cos h (a x b) - sin h (a + b)) = sin h (1 + a.b) through -a and
+    -b, and dE/dp = 2 (D s (a x b) - N (a + b)) / (N^2 + D^2).
     """
-    m = len(la)
+    axb = s[:, None] * np.cross(a, b)
+    apb = a + b
+    normal = np.cos(h)[:, None] * axb - np.sin(h)[:, None] * apb
+
+    def grad(p):
+        num = _dot(p, axb)
+        den = 1.0 + _dot(a, b) + _dot(p, apb)
+        g = den[:, None] * axb - num[:, None] * apb
+        return (2.0 / (num * num + den * den))[:, None] * g
+
+    return normal, grad
+
+
+def _solve_interior(v0, va, vb, la, lb):
+    """Closed-form inverse for every target off the corners.
+
+    The points with area fraction lb over the base v0 -> va lie on one
+    Lexell plane, and those with fraction la over vb -> v0 on another;
+    both planes pass through -v0, so p is the second point where their
+    common line meets the sphere: p = 2 (v0.w) / (w.w) w - v0 with w the
+    cross product of the two normals.  A fraction of 0 turns its plane
+    into the side's great circle, so side targets need no special case.
+    One Newton step in the tangent plane at p, with the analytic excess
+    gradients, removes the rounding the plane intersection suffers on
+    slivers.  Rows still above RESIDUAL_TOL go to the nested bisection
+    before the residual contract is enforced.
+    """
     total = _excess(v0, va, vb)
+    s = np.sign(_dot(v0, np.cross(va - v0, vb - v0)))
+    nb, grad_b = _lexell(v0, va, s, 0.5 * lb * total)
+    na, grad_a = _lexell(vb, v0, s, 0.5 * la * total)
+    w = np.cross(nb, na)
+    p = (2.0 * _dot(v0, w) / _dot(w, w))[:, None] * w - v0
 
-    def residual(u, v, idx):
-        q = _slerp(va[idx], vb[idx], u)
-        p = _slerp(v0[idx], q, v)
-        ra = _excess(v0[idx], p, vb[idx]) / total[idx] - la[idx]
-        rb = _excess(v0[idx], va[idx], p) / total[idx] - lb[idx]
-        return p, ra, rb
+    def residual(p, k=slice(None)):
+        # signed, so a step from just across a side moves back; for
+        # la, lb >= 0 the magnitudes bound area_coords' residuals
+        ra = s[k] * _signed_excess(v0[k], p, vb[k]) / total[k] - la[k]
+        rb = s[k] * _signed_excess(v0[k], va[k], p) / total[k] - lb[k]
+        return ra, rb
 
-    lab = la + lb
-    u = lb / lab
-    p0 = _unit((1.0 - lab)[:, None] * v0 + la[:, None] * va + lb[:, None] * vb)
-    q0 = _slerp(va, vb, u)
-    v = _angle(v0, p0) / np.maximum(_angle(v0, q0), 1e-300)
-    v = np.clip(v, 1e-9, 1.0)
+    ra, rb = residual(p)
+    ga, gb = (g - _dot(g, p)[:, None] * p for g in (grad_a(p), grad_b(p)))
+    aa, ab, bb = _dot(ga, ga), _dot(ga, gb), _dot(gb, gb)
+    ea, eb = ra * total, rb * total
+    det = aa * bb - ab * ab
+    x = (ab * eb - bb * ea) / det
+    y = (ab * ea - aa * eb) / det
+    p = _unit(p + x[:, None] * ga + y[:, None] * gb)
 
-    idx_all = np.arange(m)
-    p, ra, rb = residual(u, v, idx_all)
+    ra, rb = residual(p)
     res = np.maximum(np.abs(ra), np.abs(rb))
-    best_p = p.copy()
-
-    active = res > tol
-    for _ in range(max_iter):
-        if not np.any(active):
-            break
-        idx = np.nonzero(active)[0]
-        ui, vi = u[idx], v[idx]
-        rai, rbi = ra[idx], rb[idx]
-
-        # Central-difference Jacobian, stencil clipped to the unit square.
-        up, um = np.minimum(ui + _FD_STEP, 1.0), np.maximum(ui - _FD_STEP, 0.0)
-        vp, vm = np.minimum(vi + _FD_STEP, 1.0), np.maximum(vi - _FD_STEP, 1e-12)
-        _, ra_up, rb_up = residual(up, vi, idx)
-        _, ra_um, rb_um = residual(um, vi, idx)
-        _, ra_vp, rb_vp = residual(ui, vp, idx)
-        _, ra_vm, rb_vm = residual(ui, vm, idx)
-        du_span = up - um
-        dv_span = vp - vm
-        ja_u = (ra_up - ra_um) / du_span
-        jb_u = (rb_up - rb_um) / du_span
-        ja_v = (ra_vp - ra_vm) / dv_span
-        jb_v = (rb_vp - rb_vm) / dv_span
-
-        det = ja_u * jb_v - ja_v * jb_u
-        det = np.where(np.abs(det) < 1e-30, 1e-30, det)
-        step_u = (jb_v * rai - ja_v * rbi) / det
-        step_v = (-jb_u * rai + ja_u * rbi) / det
-
-        # Backtracking: halve the step until the residual norm drops.
-        res_old = np.maximum(np.abs(rai), np.abs(rbi))
-        alpha = np.ones(len(idx))
-        pending = np.ones(len(idx), dtype=bool)
-        u_new, v_new = ui.copy(), vi.copy()
-        ra_new, rb_new = rai.copy(), rbi.copy()
-        p_new = best_p[idx].copy()
-        for _ in range(40):
-            if not np.any(pending):
-                break
-            sub = np.nonzero(pending)[0]
-            ut = np.clip(ui[sub] - alpha[sub] * step_u[sub], 0.0, 1.0)
-            vt = np.clip(vi[sub] - alpha[sub] * step_v[sub], 1e-12, 1.0)
-            pt, rat, rbt = residual(ut, vt, idx[sub])
-            improved = np.maximum(np.abs(rat), np.abs(rbt)) < res_old[sub]
-            acc = sub[improved]
-            u_new[acc] = ut[improved]
-            v_new[acc] = vt[improved]
-            ra_new[acc] = rat[improved]
-            rb_new[acc] = rbt[improved]
-            p_new[acc] = pt[improved]
-            pending[acc] = False
-            alpha[sub[~improved]] *= 0.5
-
-        u[idx], v[idx] = u_new, v_new
-        ra[idx], rb[idx] = ra_new, rb_new
-        best_p[idx] = p_new
-        res[idx] = np.maximum(np.abs(ra_new), np.abs(rb_new))
-        active[idx] = res[idx] > tol
-
-    stalled = res > tol
-    if np.any(stalled):
-        idx = np.nonzero(stalled)[0]
-        best_p[idx] = _solve_interior_bisect(
-            v0[idx], va[idx], vb[idx], la[idx], lb[idx]
-        )
-        pa = _excess(v0[idx], best_p[idx], vb[idx]) / total[idx] - la[idx]
-        pb = _excess(v0[idx], va[idx], best_p[idx]) / total[idx] - lb[idx]
-        res[idx] = np.maximum(np.abs(pa), np.abs(pb))
-
-    worst = float(res.max()) if m else 0.0
+    missed = ~(res <= RESIDUAL_TOL)
+    if np.any(missed):
+        idx = np.nonzero(missed)[0]
+        p[idx] = _solve_interior_bisect(v0[idx], va[idx], vb[idx], la[idx], lb[idx])
+        ra, rb = residual(p[idx], idx)
+        res[idx] = np.maximum(np.abs(ra), np.abs(rb))
+    worst = float(res.max()) if len(res) else 0.0
     if not worst <= RESIDUAL_TOL:
         raise SolverError(
-            f"area-coordinate solve stalled at residual {worst:.3e}",
+            f"area-coordinate solve missed tolerance at residual {worst:.3e}",
             residual=worst,
         )
-    return best_p
+    return p
 
 
 def _validate_coords(la, lb):
@@ -301,10 +244,11 @@ def point_from_area_coords(v0, va, vb, la, lb):
     coordinates give one point (3,); arrays of shape (M,) give (M, 3)
     (vertices must then be (M, 3) or broadcastable).
 
-    Corner targets return the corner exactly; targets on a triangle side
-    reduce to a one-dimensional bisection along that arc; interior targets
-    run the damped Newton iteration.  Raises SolverError (with the final
-    residual) on non-convergence and GeometryError for degenerate input.
+    Corner targets return the corner exactly; every other target, on a
+    side or inside, is the closed-form meeting point of two Lexell
+    circles.  Raises SolverError (with the final residual) if a row
+    misses the contract even after the bisection fallback, and
+    GeometryError for degenerate input.
     """
     scalar = np.ndim(la) == 0 and np.ndim(lb) == 0
     la = np.atleast_1d(np.asarray(la, dtype=np.float64))
@@ -323,10 +267,8 @@ def point_from_area_coords(v0, va, vb, la, lb):
     if np.any(total <= 0.0) or np.any(total >= 2.0 * np.pi):
         raise GeometryError("degenerate spherical triangle (zero or full area)")
 
-    l0 = 1.0 - la - lb
     out = np.empty((m, 3))
     done = np.zeros(m, dtype=bool)
-
     for mask, corner in (
         ((la == 1.0), va),
         ((lb == 1.0), vb),
@@ -336,29 +278,7 @@ def point_from_area_coords(v0, va, vb, la, lb):
         out[mask] = corner[mask]
         done |= mask
 
-    # Sides: one fraction vanishes, solve along the corresponding arc.
-    side = (lb == 0.0) & ~done
-    if np.any(side):
-        out[side] = _solve_arc(
-            v0[side], va[side], v0[side], vb[side], total[side], la[side]
-        )
-        done |= side
-    side = (la == 0.0) & ~done
-    if np.any(side):
-        out[side] = _solve_arc(
-            v0[side], vb[side], v0[side], va[side], total[side], lb[side]
-        )
-        done |= side
-    side = (l0 <= 0.0) & ~done
-    if np.any(side):
-        out[side] = _solve_arc(
-            va[side], vb[side], v0[side], va[side], total[side], lb[side]
-        )
-        done |= side
-
-    interior = ~done
-    if np.any(interior):
-        out[interior] = _solve_interior(
-            v0[interior], va[interior], vb[interior], la[interior], lb[interior]
-        )
+    rest = ~done
+    if np.any(rest):
+        out[rest] = _solve_interior(v0[rest], va[rest], vb[rest], la[rest], lb[rest])
     return out[0] if scalar else out

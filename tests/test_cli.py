@@ -12,6 +12,7 @@ import spheregrid
 import spheregrid.meshgen as meshgen
 from spheregrid import GeometryError, expected_cardinality, generate
 from spheregrid.cli import main, read_config_csv, run_sweep
+from oracle import spiral_points
 
 
 def run_cli(*args):
@@ -161,6 +162,14 @@ def test_geometry_error_exit_3(tmp_path, capsys):
     bad = tmp_path / "flat.csv"
     bad.write_text("1,0,0\n0,1,0\n-1,0,0\n0,-1,0\n")
     assert run_cli("metrics", "--in", str(bad)) == 3
+
+
+def test_points_off_the_origin_exit_3(tmp_path, capsys):
+    probes = spiral_points(3200)
+    cap = tmp_path / "cap.csv"
+    np.savetxt(cap, probes[probes[:, 2] > 0.5], delimiter=",", fmt="%.17g")
+    assert run_cli("metrics", "--in", str(cap)) == 3
+    assert "surround the origin" in capsys.readouterr().err
 
 
 def test_non_finite_config_file_exit_3(tmp_path, capsys):

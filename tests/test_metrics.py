@@ -12,6 +12,7 @@ from spheregrid import (
     evaluate,
     generate,
     mesh_ratio,
+    metrics,
     separation,
     validate_mesh,
 )
@@ -72,6 +73,16 @@ def test_covering_rejects_rank_deficient_points():
     )
     with pytest.raises(GeometryError):
         covering(SphericalConfig(points=ring))
+
+
+def test_covering_refuses_points_that_do_not_surround_the_origin():
+    # The cap's hull leaves the origin outside: the covering radius is
+    # attained in the hole, at no facet circumcentre direction.
+    probes = spiral_points(3200)
+    cap = SphericalConfig(points=probes[probes[:, 2] > 0.5])
+    assert sampled_covering(cap.points, probes=20_000) > 1.7
+    with pytest.raises(GeometryError):
+        covering(cap)
 
 
 def test_covering_dominates_sampled_estimate():
@@ -155,3 +166,18 @@ def test_evaluate_report_fields():
     assert any(line.startswith("mesh_ratio=0.6533") for line in lines)
     assert lines[0] == "base=icosahedron"
     assert lines[1] == "seq=5,0"
+
+
+def test_evaluate_builds_the_face_edge_chords_once(monkeypatch):
+    cfg = generate("icosahedron", [(3, 1)])
+    expected = evaluate(cfg)
+    calls = []
+    edge_lengths = metrics._edge_lengths
+
+    def counted(mesh):
+        calls.append(mesh)
+        return edge_lengths(mesh)
+
+    monkeypatch.setattr(metrics, "_edge_lengths", counted)
+    assert evaluate(cfg) == expected
+    assert len(calls) == 1

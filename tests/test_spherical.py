@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial.transform import Rotation
 
 from spheregrid import (
     DomainError,
@@ -11,8 +13,17 @@ from spheregrid import (
     project_to_sphere,
     spherical_triangle_area,
 )
+from spheregrid import spherical
+from spheregrid.lattice import _bary_numerators, lattice_points, triangulation_number
 from spheregrid.spherical import _solve_interior
-from util import random_interior_coords, random_triangle, unit_rows
+from util import (
+    lonlat,
+    random_interior_coords,
+    random_triangle,
+    sliver_rows,
+    sliver_triangle,
+    unit_rows,
+)
 
 OCTANT = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
 
@@ -199,3 +210,102 @@ def test_solve_rejects_degenerate_triangle():
     e2 = np.array([0.0, 1, 0])
     with pytest.raises(GeometryError):
         point_from_area_coords(e1, e1, e2, 0.3, 0.3)
+
+
+rotations = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+    .filter(lambda q: sum(c * c for c in q) > 0.1)
+    .map(lambda q: Rotation.from_quat(q).as_matrix())
+)
+fractions = st.floats(0.0, 1.0)
+# interior targets, then the three sides: lambda_b = 0, lambda_a = 0 and
+# lambda_a + lambda_b = 1
+targets = st.one_of(
+    st.tuples(fractions, fractions).map(lambda uv: (uv[0], (1.0 - uv[0]) * uv[1])),
+    fractions.map(lambda x: (x, 0.0)),
+    fractions.map(lambda x: (0.0, x)),
+    fractions.map(lambda x: (x, 1.0 - x)),
+)
+property_settings = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+def assert_round_trip(v0, va, vb, la, lb):
+    p = point_from_area_coords(v0, va, vb, la, lb)
+    ga, gb = area_coords(v0, va, vb, p)
+    assert abs(ga - la) <= 1e-12 and abs(gb - lb) <= 1e-12
+    assert abs(np.linalg.norm(p) - 1.0) <= 1e-12
+
+
+@property_settings
+@given(
+    kind=st.sampled_from(["cap", "needle"]),
+    thickness=st.sampled_from([1e-3, 1e-4]),
+    span=st.floats(0.2, 1.5),
+    offset=st.floats(-0.4, 0.4),
+    rotation=rotations,
+    order=st.permutations([0, 1, 2]),
+    target=targets,
+)
+def test_round_trip_on_slivers(kind, thickness, span, offset, rotation, order, target):
+    tri = sliver_triangle(kind, thickness, span, offset, rotation, order)
+    assert_round_trip(*tri, *target)
+
+
+@property_settings
+@given(
+    shifts=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+    lats=st.tuples(*[st.floats(0.02, 1.2)] * 3),
+    rotation=rotations,
+    order=st.permutations([0, 1, 2]),
+    target=targets,
+)
+def test_round_trip_up_to_near_hemisphere_triangles(shifts, lats, rotation, order, target):
+    # Three vertices about 120 degrees apart in longitude: the closer they
+    # come to the equator, the closer the area comes to 2 pi.
+    lons = (0.0, 2 * np.pi / 3 + shifts[0], 4 * np.pi / 3 + shifts[1])
+    v = np.array([lonlat(lon, lat) for lon, lat in zip(lons, lats)]) @ rotation.T
+    tri = tuple(unit_rows(v)[order])
+    assume(spherical_triangle_area(*tri) <= 2 * np.pi - 0.2)
+    assert_round_trip(*tri, *target)
+
+
+@pytest.mark.parametrize("thickness", [1e-3, 1e-4])
+@pytest.mark.parametrize("kind", ["cap", "needle"])
+def test_seeded_slivers_meet_the_contract(kind, thickness):
+    v0, va, vb, la, lb = sliver_rows(np.random.default_rng(7), kind, thickness, 200)
+    p = point_from_area_coords(v0, va, vb, la, lb)
+    ga, gb = area_coords(v0, va, vb, p)
+    assert max(np.abs(ga - la).max(), np.abs(gb - lb).max()) <= 1e-12
+
+
+def test_bisection_fallback_meets_the_contract(monkeypatch):
+    calls = []
+    bisect = spherical._solve_interior_bisect
+
+    def counted(v0, va, vb, la, lb):
+        calls.append(len(la))
+        return bisect(v0, va, vb, la, lb)
+
+    monkeypatch.setattr(spherical, "_solve_interior_bisect", counted)
+    v0, va, vb, la, lb = sliver_rows(np.random.default_rng(7), "cap", 1e-4, 200)
+    p = _solve_interior(v0, va, vb, la, lb)
+    assert sum(calls) >= 1
+    ga, gb = area_coords(v0, va, vb, p)
+    assert max(np.abs(ga - la).max(), np.abs(gb - lb).max()) <= 1e-12
+
+
+@pytest.mark.parametrize("pair", [(7, 3), (27, 0), (13, 8)])
+def test_icosahedron_faces_solve_to_rounding(pair):
+    mesh = base_polyhedron("icosahedron")
+    v, f = mesh.vertices, mesh.faces
+    m, n = pair
+    g = triangulation_number(m, n)
+    alpha, beta = _bary_numerators(lattice_points(m, n), m, n)
+    inner = (alpha > 0) & (beta > 0) & (alpha + beta < g)
+    k = int(inner.sum())
+    la = np.tile(alpha[inner] / g, len(f))
+    lb = np.tile(beta[inner] / g, len(f))
+    v0, va, vb = (np.repeat(v[f[:, i]], k, axis=0) for i in range(3))
+    p = point_from_area_coords(v0, va, vb, la, lb)
+    ga, gb = area_coords(v0, va, vb, p)
+    assert max(np.abs(ga - la).max(), np.abs(gb - lb).max()) <= 1e-14

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 from spheregrid import expected_cardinality, generate
 
@@ -51,3 +52,48 @@ def random_config(rng, n_max, n_min=12, max_k=3, max_m=6):
         pairs = random_sequence(rng, max_k=max_k, max_m=max_m)
         if n_min <= expected_cardinality(base, pairs) <= n_max:
             return generate(base, pairs)
+
+
+def lonlat(lon, lat):
+    return np.array([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
+
+
+def sliver_triangle(kind, thickness, span, offset, rotation, order):
+    """A rotated sliver (v0, va, vb), its vertices taken in ``order``.
+
+    A ``"cap"`` has its third vertex ``thickness`` off the great-circle
+    arc of length ``span`` through the other two, so its largest angle is
+    close to pi; a ``"needle"`` has one side of length ``thickness`` and
+    two of length about ``span``.  ``offset`` in [-0.4, 0.4] slides the
+    odd vertex along (cap) or across (needle) the long direction.
+    """
+    if kind == "cap":
+        v = [
+            lonlat(-span / 2, 0.0),
+            lonlat(span / 2, 0.0),
+            lonlat(offset * span, thickness),
+        ]
+    else:
+        v = [
+            lonlat(0.0, -thickness / 2),
+            lonlat(0.0, thickness / 2),
+            lonlat(span, offset * thickness),
+        ]
+    v = unit_rows(np.array(v) @ rotation.T)
+    return tuple(v[list(order)])
+
+
+def sliver_rows(rng, kind, thickness, m):
+    """m seeded slivers and interior targets, stacked as (v0, va, vb, la, lb)."""
+    rows = []
+    for _ in range(m):
+        tri = sliver_triangle(
+            kind,
+            thickness,
+            rng.uniform(0.2, 1.5),
+            rng.uniform(-0.4, 0.4),
+            Rotation.random(random_state=rng).as_matrix(),
+            rng.permutation(3),
+        )
+        rows.append((*tri, *random_interior_coords(rng)))
+    return tuple(np.array(col) for col in zip(*rows))
