@@ -6,7 +6,10 @@ grid nodes interior to a face are placed by the inverse area-coordinate
 solve on its spherical triangle, nodes on shared edges at equal arc-length
 fractions of the edge arc, and the per-face results fuse into one point
 set.  The convex hull of that set is again a closed triangulated mesh, so
-the step can be applied repeatedly with a sequence of integer pairs.
+the step can be applied repeatedly with a sequence of integer pairs.  For
+a pair (m, 0) that hull is each face's m^2 lattice triangles once an
+O(F log F) certificate accepts them; qhull builds it for pairs with n > 0
+and for passes the certificate refuses.
 """
 
 import math
@@ -22,13 +25,19 @@ from .lattice import (
     triangulation_number,
     validate_pair,
 )
-from .spherical import _slerp, _solve_interior, _unit
+from .spherical import _signed_excess, _slerp, _solve_interior, _unit
 
 #: two generated points closer than this are treated as duplicates
 DEDUP_TOL = 1e-9
 
 #: interior solve batch size, bounds peak memory of the solver temporaries
 _CHUNK = 400_000
+
+#: faces or edges per batch of the hull certificate
+_CERT_CHUNK = 65_536
+
+#: Shewchuk's static orient3d error bound, (7 + 56 eps) eps with eps = 2^-53
+_O3D_ERRBOUND = (7.0 + 56.0 * 2.0**-53) * 2.0**-53
 
 _BASE_NAMES = {
     "tetra": "tetrahedron",
@@ -173,24 +182,29 @@ def base_polyhedron(name):
 
 
 def _unique_edges(faces, n_vertices):
-    """Undirected edges of a closed, consistently oriented mesh.
+    """Undirected edges of a closed, consistently oriented mesh, with apexes.
 
-    Returns (E, 2) with the lower index first, sorted.  In such a mesh
-    every edge is traversed once in each direction, so the half-edges with
-    i < j are the edges and the remaining half-edges are exactly their
-    reversals.  Raises GeometryError otherwise.
+    Returns the (E, 2) edges, lower index first, sorted, and for each edge
+    (i, j) the third vertex of the face walking i -> j and of the one
+    walking j -> i.  In such a mesh every edge is traversed once in each
+    direction, so the half-edges with i < j are the edges and the
+    remaining half-edges are exactly their reversals.  Raises
+    GeometryError otherwise.
     """
     f = np.asarray(faces, dtype=np.int64)
-    e = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    up = e[:, 0] < e[:, 1]
-    key = np.sort(e[up, 0] * n_vertices + e[up, 1])
-    twin = np.sort(e[~up, 1] * n_vertices + e[~up, 0])
+    i, j, apex = (f[:, k].T.ravel() for k in ([0, 1, 2], [1, 2, 0], [2, 0, 1]))
+    up = i < j
+    key = i[up] * n_vertices + j[up]
+    twin = j[~up] * n_vertices + i[~up]
+    by_key, by_twin = np.argsort(key), np.argsort(twin)
+    key, twin = key[by_key], twin[by_twin]
     if not np.array_equal(key, twin) or np.any(key[1:] == key[:-1]):
         raise GeometryError(
             "mesh is not a closed, consistently oriented 2-manifold "
             "(edge not traversed once in each direction)"
         )
-    return np.column_stack([key // n_vertices, key % n_vertices])
+    edges = np.column_stack([key // n_vertices, key % n_vertices])
+    return edges, apex[up][by_key], apex[~up][by_twin]
 
 
 def validate_mesh(mesh, sphere_tol=1e-12):
@@ -203,7 +217,7 @@ def validate_mesh(mesh, sphere_tol=1e-12):
     radii = np.sqrt((v * v).sum(axis=1))
     if not np.all(np.abs(radii - 1.0) <= sphere_tol):
         raise GeometryError("mesh vertices are not on the unit sphere")
-    edges = _unique_edges(f, len(v))
+    edges, _, _ = _unique_edges(f, len(v))
     if len(v) - len(edges) + len(f) != 2:
         raise GeometryError("mesh violates Euler characteristic V - E + F = 2")
     a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
@@ -211,14 +225,27 @@ def validate_mesh(mesh, sphere_tol=1e-12):
         raise GeometryError("mesh has inward-facing faces")
 
 
+def _canonical_faces(faces):
+    """Each face rolled to start at its smallest index, rows sorted.
+
+    The sort key is the directed edge from a face's first to its second
+    vertex, which no other face of a closed oriented mesh walks.
+    """
+    first = faces.argmin(axis=1)
+    faces = np.take_along_axis(faces, (first[:, None] + np.arange(3)) % 3, axis=1)
+    return faces[np.argsort(faces[:, 0] * (faces.max() + 1) + faces[:, 1])]
+
+
 def convex_hull_triangulation(points):
     """Convex hull of on-sphere points as an outward-oriented triangle mesh.
 
-    Faces index the input array, whose order is preserved.  Coplanar facet
-    patches (several hull points on a common plane circle) come out
-    triangulated deterministically for a fixed input ordering.  Every
-    input point must be a hull vertex, which holds for any point set on
-    the sphere without duplicates.
+    Faces index the input array, whose order is preserved.  Each face row
+    starts at its smallest index and the rows are sorted, as in
+    ``subdivide_mesh``'s lattice meshes.  Coplanar facet patches
+    (several hull points on a common plane circle) come out triangulated
+    deterministically for a fixed input ordering.  Every input point must
+    be a hull vertex, which holds for any point set on the sphere without
+    duplicates.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3 or len(points) < 4:
@@ -233,14 +260,25 @@ def convex_hull_triangulation(points):
             f"{len(points) - len(hull.vertices)} of them"
         )
     faces = _orient_outward(points, hull.simplices.astype(np.int64))
-    return TriangleMesh(vertices=points, faces=faces)
+    return TriangleMesh(vertices=points, faces=_canonical_faces(faces))
+
+
+def _canonical_permutation(points):
+    """Row order of ``canonical_order``.
+
+    z and theta are compared to 12 decimals, so rounding noise does not
+    move rows; theta = -pi counts as pi.
+    """
+    theta = np.round(np.arctan2(points[:, 1], points[:, 0]), 12)
+    theta[theta == -np.round(np.pi, 12)] = np.round(np.pi, 12)
+    z = np.round(points[:, 2], 12)
+    return np.lexsort((points[:, 1], points[:, 0], theta, z))
 
 
 def canonical_order(points):
-    """Deterministic point ordering: by z, then atan2(y, x), then (x, y)."""
-    theta = np.arctan2(points[:, 1], points[:, 0])
-    order = np.lexsort((points[:, 1], points[:, 0], theta, points[:, 2]))
-    return points[order]
+    """Deterministic point ordering: by z, then theta = atan2(y, x), both to
+    12 decimals, then (x, y)."""
+    return points[_canonical_permutation(points)]
 
 
 def _merge_near_duplicates(points):
@@ -254,6 +292,80 @@ def _merge_near_duplicates(points):
     return points[keep]
 
 
+def _lattice_faces(faces, edges, n_vertices, m, pts, is_interior):
+    """The m^2 lattice triangles of every face, for a pass (m, 0).
+
+    Indices follow ``subdivide_mesh``'s blocks: the vertices, m - 1 nodes
+    per sorted edge (node j at j/m from its lower end), then each face's
+    interior nodes.  Point (q1, q2) of face (v0, va, vb) lies q1/m towards
+    va and q2/m towards vb.
+    """
+    local = np.zeros((m + 1, m + 1), dtype=np.int64)
+    local[pts[:, 0], pts[:, 1]] = np.arange(len(pts))
+    table = np.empty((len(faces), len(pts)), dtype=np.int64)
+    n_int = int(is_interior.sum())
+    first = n_vertices + len(edges) * (m - 1)
+    table[:, is_interior] = first + np.arange(len(faces) * n_int).reshape(
+        len(faces), n_int
+    )
+    table[:, local[[0, m, 0], [0, 0, m]]] = faces
+    keys = edges[:, 0] * n_vertices + edges[:, 1]
+    j = np.arange(1, m)
+    for s, t, q1, q2 in ((0, 1, j, 0 * j), (1, 2, m - j, j), (2, 0, 0 * j, m - j)):
+        a, b = faces[:, s], faces[:, t]
+        e = np.searchsorted(keys, np.minimum(a, b) * n_vertices + np.maximum(a, b))
+        jj = np.where((a < b)[:, None], j, m - j)
+        table[:, local[q1, q2]] = n_vertices + e[:, None] * (m - 1) + jj - 1
+    q1, q2 = pts[pts.sum(axis=1) < m].T
+    r1, r2 = pts[pts.sum(axis=1) < m - 1].T
+    template = np.concatenate([
+        np.column_stack([local[q1, q2], local[q1 + 1, q2], local[q1, q2 + 1]]),
+        np.column_stack([local[r1 + 1, r2], local[r1 + 1, r2 + 1], local[r1, r2 + 1]]),
+    ])
+    return table[:, template].reshape(-1, 3)
+
+
+def _is_hull(points, faces):
+    """Whether ``faces`` are the convex hull of the on-sphere ``points``.
+
+    Certified when the mesh is closed and consistently oriented with
+    V - E + F = 2; every edge is locally convex as in STRIPACK (Renka
+    1997): the apex d across edge a -> b of face (a, b, c) lies below its
+    plane, Shewchuk's orient3d(a, b, c, d) > 0 beyond his static error
+    bound, so a cocircular tie is left to qhull; every face faces outward;
+    and the solid angles add up to 4 pi, so no vertex star winds twice.
+    The shortest edge must exceed DEDUP_TOL; nearest neighbours are hull
+    edges.
+    """
+    try:
+        edges, apex, across = _unique_edges(faces, len(points))
+    except GeometryError:
+        return False
+    if len(points) - len(edges) + len(faces) != 2:
+        return False
+    xyz = np.ascontiguousarray(points.T)
+    for k in range(0, len(edges), _CERT_CHUNK):
+        sl = slice(k, k + _CERT_CHUNK)
+        a, b, c, d = (xyz[:, i[sl]] for i in (edges[:, 0], edges[:, 1], apex, across))
+        ad, bd, cd = a - d, b - d, c - d
+        det = permanent = 0.0
+        for u, v, w in ((ad, bd, cd), (bd, cd, ad), (cd, ad, bd)):
+            p, q = v[0] * w[1], w[0] * v[1]
+            det = det + (p - q) * u[2]
+            permanent = permanent + (np.abs(p) + np.abs(q)) * np.abs(u[2])
+        convex = np.all(det > _O3D_ERRBOUND * permanent)
+        if not (convex and np.all(((a - b) ** 2).sum(axis=0) > DEDUP_TOL**2)):
+            return False
+    turn = 0.0
+    for k in range(0, len(faces), _CERT_CHUNK):
+        tri = faces[k:k + _CERT_CHUNK]
+        excess = _signed_excess(*(points[tri[:, i]] for i in range(3)))
+        if not np.all(excess > 0.0):
+            return False
+        turn += excess.sum()
+    return abs(turn - 4.0 * np.pi) < 2.0 * np.pi
+
+
 def subdivide_mesh(mesh, pair, base=None):
     """One grid-refinement pass over every face of a closed, oriented mesh.
 
@@ -263,9 +375,14 @@ def subdivide_mesh(mesh, pair, base=None):
     (g = gcd(m, n)) of the edge's great-circle arc, and strictly interior
     nodes are found per face by the inverse area-coordinate solve.  The
     arc-length rule for edge nodes depends only on the edge's endpoints,
-    so the two faces sharing an edge always agree on its nodes.  The fused
-    set is still scanned for near-duplicates and checked against the
-    closed-form count (V - 2) * (m^2 + n^2 + m n) + 2; any mismatch raises
+    so the two faces sharing an edge always agree on its nodes.
+
+    For a pair (m, 0) whose lattice triangles pass the hull certificate,
+    they come attached as the result's ``mesh`` (faces as
+    ``convex_hull_triangulation`` orders them) and the certificate's
+    shortest-edge check replaces the KD-tree scan for near-duplicates;
+    otherwise ``mesh`` is None.  The count is checked against the closed
+    form (V - 2) * (m^2 + n^2 + m n) + 2; a mismatch raises
     ConsistencyError.
     """
     m, n = validate_pair(pair)
@@ -288,7 +405,7 @@ def subdivide_mesh(mesh, pair, base=None):
     int_lb = beta[is_interior] / float(gamma)
     n_int = int(is_interior.sum())
 
-    edges = _unique_edges(f, n_vertices)
+    edges, _, _ = _unique_edges(f, n_vertices)
 
     blocks = [v]
     if gc > 1:
@@ -312,21 +429,34 @@ def subdivide_mesh(mesh, pair, base=None):
         blocks.append(solved)
 
     points = np.concatenate(blocks)
-    points = _merge_near_duplicates(points)
+    faces = None
+    if n == 0:
+        faces = _lattice_faces(f, edges, n_vertices, m, pts, is_interior)
+        if not _is_hull(points, faces):
+            faces = None
+    if faces is None:
+        points = _merge_near_duplicates(points)
     expected = (n_vertices - 2) * gamma + 2
     if len(points) != expected:
         raise ConsistencyError(
             f"subdivision produced {len(points)} points, expected {expected} "
             f"for pair ({m},{n}) on a {n_vertices}-vertex mesh"
         )
-    return SphericalConfig(points=canonical_order(points), base=base, pairs=((m, n),))
+    order = _canonical_permutation(points)
+    points = points[order]
+    out = SphericalConfig(points=points, base=base, pairs=((m, n),))
+    if faces is not None:
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        out.mesh = TriangleMesh(vertices=points, faces=_canonical_faces(rank[faces]))
+    return out
 
 
 def generate(base, pairs):
     """Full pipeline: base polyhedron refined by a sequence of integer pairs.
 
-    Each pass subdivides the current mesh and re-triangulates the result
-    via its convex hull; the final configuration keeps its hull attached
+    Each pass subdivides the current mesh; its hull (the certified lattice
+    mesh, else qhull's) is the next mesh, and the final one stays attached
     for metric evaluation.  The point count always equals
     2 + (V0 - 2) * prod_k gamma(m_k, n_k).
     """
@@ -335,12 +465,12 @@ def generate(base, pairs):
     if len(pair_list) == 0:
         raise ParameterError("sequence must contain at least one integer pair")
     mesh = base_polyhedron(name)
-    points = mesh.vertices
     for pair in pair_list:
         cfg = subdivide_mesh(mesh, pair, base=name)
-        points = cfg.points
-        mesh = convex_hull_triangulation(points)
-    out = SphericalConfig(points=points, base=name, pairs=tuple(pair_list), mesh=mesh)
+        mesh = cfg.hull()
+    out = SphericalConfig(
+        points=cfg.points, base=name, pairs=tuple(pair_list), mesh=mesh
+    )
     expected = expected_cardinality(name, pair_list)
     if out.n != expected:
         raise ConsistencyError(f"generated {out.n} points, expected {expected}")

@@ -187,8 +187,9 @@ def _solve_interior(v0, va, vb, la, lb):
     into the side's great circle, so side targets need no special case.
     One Newton step in the tangent plane at p, with the analytic excess
     gradients, removes the rounding the plane intersection suffers on
-    slivers.  Rows still above RESIDUAL_TOL go to the nested bisection
-    before the residual contract is enforced.
+    slivers.  Rows still above RESIDUAL_TOL, unless an input is not
+    finite, go to the nested bisection before the residual contract is
+    enforced.
     """
     total = _excess(v0, va, vb)
     s = np.sign(_dot(v0, np.cross(va - v0, vb - v0)))
@@ -215,9 +216,9 @@ def _solve_interior(v0, va, vb, la, lb):
 
     ra, rb = residual(p)
     res = np.maximum(np.abs(ra), np.abs(rb))
-    missed = ~(res <= RESIDUAL_TOL)
-    if np.any(missed):
-        idx = np.nonzero(missed)[0]
+    finite = np.isfinite(v0 + va + vb).all(axis=1) & np.isfinite(la + lb)
+    idx = np.nonzero(~(res <= RESIDUAL_TOL) & finite)[0]
+    if len(idx):
         p[idx] = _solve_interior_bisect(v0[idx], va[idx], vb[idx], la[idx], lb[idx])
         ra, rb = residual(p[idx], idx)
         res[idx] = np.maximum(np.abs(ra), np.abs(rb))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import spheregrid.meshgen as meshgen
 from spheregrid import (
     GeometryError,
     ParameterError,
     TriangleMesh,
     base_polyhedron,
+    canonical_order,
     convex_hull_triangulation,
     expected_cardinality,
     generate,
@@ -97,9 +99,7 @@ def test_hull_of_base_polyhedra():
         validate_mesh(hull)
 
 
-def test_hull_triangulates_coplanar_patches():
-    # Cuboctahedron: six square facets must come out as deterministic
-    # triangle pairs, keeping the mesh closed.
+def cuboctahedron():
     v = []
     for i, j in [(0, 1), (0, 2), (1, 2)]:
         for si in (1, -1):
@@ -107,7 +107,13 @@ def test_hull_triangulates_coplanar_patches():
                 row = [0.0, 0.0, 0.0]
                 row[i], row[j] = si, sj
                 v.append(row)
-    v = unit_rows(np.array(v))
+    return unit_rows(np.array(v))
+
+
+def test_hull_triangulates_coplanar_patches():
+    # Cuboctahedron: six square facets must come out as deterministic
+    # triangle pairs, keeping the mesh closed.
+    v = cuboctahedron()
     hull = convex_hull_triangulation(v)
     assert hull.n_faces == 2 * len(v) - 4
     validate_mesh(hull)
@@ -254,3 +260,124 @@ def nan_vertex(mesh):
 def test_broken_mesh_is_refused(check, breakage):
     with pytest.raises(GeometryError):
         check(breakage(base_polyhedron("octahedron")))
+
+
+def test_hull_faces_start_at_their_smallest_index():
+    rng = np.random.default_rng(3)
+    for points in (generate("icosahedron", [(4, 1)]).points,
+                   unit_rows(rng.normal(size=(500, 3)))):
+        faces = convex_hull_triangulation(points).faces
+        assert np.array_equal(faces[:, 0], faces.min(axis=1))
+
+
+def passes(base, pairs):
+    """(pair, configuration) of every pass, each refining the last one's hull."""
+    mesh = base_polyhedron(base)
+    for pair in pairs:
+        cfg = subdivide_mesh(mesh, pair)
+        yield pair, cfg
+        mesh = cfg.hull()
+
+
+@pytest.mark.parametrize(
+    "base,pairs",
+    [(base, [(l, 0)]) for base in ("icosahedron", "octahedron") for l in (2, 3, 5, 8)]
+    + [
+        ("icosahedron", [(1, 1), (4, 0), (4, 0)]),
+        ("octahedron", [(3, 1), (4, 0), (4, 0)]),
+    ],
+)
+def test_lattice_mesh_equals_the_qhull_hull(base, pairs):
+    for pair, cfg in passes(base, pairs):
+        if pair[1] > 0:
+            assert cfg.mesh is None
+            continue
+        hull = convex_hull_triangulation(cfg.points)
+        assert cfg.mesh is not None
+        # both builders roll each face to its smallest index and sort the
+        # rows, so equal face sets give equal arrays
+        assert np.array_equal(cfg.mesh.faces, hull.faces)
+
+
+def test_uncertified_lattice_mesh_falls_back_to_qhull():
+    # the tetrahedron's (5,0) lattice triangles are not its hull
+    cfg = subdivide_mesh(base_polyhedron("tetrahedron"), (5, 0))
+    assert cfg.mesh is None
+    out = generate("tetrahedron", [(5, 0)])
+    assert np.array_equal(out.points, cfg.points)
+    assert np.array_equal(out.hull().faces, convex_hull_triangulation(cfg.points).faces)
+
+
+def test_generate_runs_qhull_only_on_passes_with_n_above_0(monkeypatch):
+    calls = []
+    real = meshgen.ConvexHull
+
+    def counting(points):
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(meshgen, "ConvexHull", counting)
+    cfg = generate("icosahedron", [(1, 1), (4, 0), (4, 0), (4, 0)])
+    assert calls == [32]
+    assert cfg.n == 122882
+    validate_mesh(cfg.hull())
+
+
+def flipped_diagonal(mesh):
+    """The mesh with the shared edge (i, j) of two faces swapped for (c, d)."""
+    edges, apex, across = meshgen._unique_edges(mesh.faces, mesh.n_vertices)
+    (i, j), c, d = edges[0], apex[0], across[0]
+    keep = [f for f in mesh.faces.tolist() if not {i, j} <= set(f)]
+    faces = np.array(keep + [[i, d, c], [d, j, c]], dtype=np.int64)
+    return TriangleMesh(vertices=mesh.vertices, faces=faces)
+
+
+def test_hull_certificate_accepts_the_hull_and_refuses_a_flipped_diagonal():
+    mesh = generate("icosahedron", [(3, 0)]).hull()
+    assert meshgen._is_hull(mesh.vertices, mesh.faces)
+    flipped = flipped_diagonal(mesh)
+    validate_mesh(flipped)  # still closed and outward; only convexity fails
+    assert not meshgen._is_hull(flipped.vertices, flipped.faces)
+
+
+@pytest.mark.parametrize("breakage", [flipped_face, open_surface])
+def test_hull_certificate_refuses_a_broken_mesh(breakage):
+    broken = breakage(generate("icosahedron", [(3, 0)]).hull())
+    assert not meshgen._is_hull(broken.vertices, broken.faces)
+
+
+def test_hull_certificate_refuses_a_mesh_that_wraps_the_sphere_twice():
+    # a bipyramid over the pentagram {5/2}: closed, outward and locally
+    # convex at every edge, but both pole stars wind twice round their pole
+    t = np.arange(5) * 4.0 * np.pi / 5.0
+    ring = np.column_stack([np.cos(t), np.sin(t), 0.0 * t])
+    v = np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], ring])
+    k = np.arange(5)
+    a, b = 2 + k, 2 + (k + 1) % 5
+    faces = np.concatenate(
+        [np.column_stack([0 * k, a, b]), np.column_stack([0 * k + 1, b, a])]
+    )
+    validate_mesh(TriangleMesh(vertices=v, faces=faces))
+    assert not meshgen._is_hull(v, faces)
+
+
+@pytest.mark.parametrize("seed", [None, 17])
+def test_hull_certificate_leaves_cocircular_ties_to_qhull(seed):
+    # each square facet's diagonal has four cocircular points; turned by
+    # the seed-17 rotation, every tie rounds to the convex side, so only
+    # the error bound refuses it
+    from scipy.spatial.transform import Rotation
+
+    v = cuboctahedron()
+    if seed is not None:
+        v = v @ Rotation.random(random_state=seed).as_matrix().T
+    assert not meshgen._is_hull(v, convex_hull_triangulation(v).faces)
+
+
+def test_canonical_order_is_stable_under_last_bit_noise():
+    points = generate("icosahedron", [(1, 1), (4, 0), (4, 0)]).points
+    rng = np.random.default_rng(7)
+    nudged = points + rng.integers(-2, 3, size=points.shape) * np.spacing(points)
+    a, b = canonical_order(points), canonical_order(nudged)
+    moved = np.abs(a - b).max(axis=1) > 1e-12
+    assert moved.sum() <= 0.001 * len(points)

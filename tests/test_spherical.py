@@ -199,10 +199,21 @@ def test_solve_rejects_non_finite_input():
         point_from_area_coords(np.array([np.nan, 0, 0]), *OCTANT[1:], 0.3, 0.3)
 
 
-def test_interior_solve_refuses_a_nan_residual():
+def test_interior_solve_refuses_a_nan_residual(monkeypatch):
+    # a non-finite row cannot meet the contract, so the slow bisection
+    # fallback is not tried on it
+    calls = []
+    bisect = spherical._solve_interior_bisect
+
+    def counted(v0, va, vb, la, lb):
+        calls.append(len(la))
+        return bisect(v0, va, vb, la, lb)
+
+    monkeypatch.setattr(spherical, "_solve_interior_bisect", counted)
     v0, va, vb = (x[None, :] for x in OCTANT)
     with pytest.raises(SolverError):
         _solve_interior(v0, va, vb, np.array([np.nan]), np.array([0.3]))
+    assert len(calls) == 0
 
 
 def test_solve_rejects_degenerate_triangle():
