@@ -6,10 +6,10 @@ grid nodes interior to a face are placed by the inverse area-coordinate
 solve on its spherical triangle, nodes on shared edges at equal arc-length
 fractions of the edge arc, and the per-face results fuse into one point
 set.  The convex hull of that set is again a closed triangulated mesh, so
-the step can be applied repeatedly with a sequence of integer pairs.  For
-a pair (m, 0) that hull is each face's m^2 lattice triangles once an
-O(F log F) certificate accepts them; qhull builds it for pairs with n > 0
-and for passes the certificate refuses.
+the step can be applied repeatedly with a sequence of integer pairs.  That
+hull is built from each face's Caspar-Klug lattice triangles (the
+Goldberg-Coxeter construction) once an O(F log F) certificate accepts
+them; qhull builds it only for passes the certificate refuses.
 """
 
 import math
@@ -241,7 +241,9 @@ def convex_hull_triangulation(points):
 
     Faces index the input array, whose order is preserved.  Each face row
     starts at its smallest index and the rows are sorted, as in
-    ``subdivide_mesh``'s lattice meshes.  Coplanar facet patches
+    ``subdivide_mesh``'s lattice meshes; ``generate`` calls it only for a
+    pass whose lattice mesh the certificate refuses, and ``export`` and
+    ``metrics --in`` for points read from a file.  Coplanar facet patches
     (several hull points on a common plane circle) come out triangulated
     deterministically for a fixed input ordering.  Every input point must
     be a hull vertex, which holds for any point set on the sphere without
@@ -254,10 +256,11 @@ def convex_hull_triangulation(points):
         hull = ConvexHull(points)
     except QhullError as exc:
         raise GeometryError(f"convex hull failed: {exc}") from exc
-    if len(hull.vertices) != len(points):
+    used = np.count_nonzero(np.bincount(hull.simplices.ravel(), minlength=len(points)))
+    if used != len(points):
         raise GeometryError(
             "input points are not all extreme; hull dropped "
-            f"{len(points) - len(hull.vertices)} of them"
+            f"{len(points) - used} of them"
         )
     faces = _orient_outward(points, hull.simplices.astype(np.int64))
     return TriangleMesh(vertices=points, faces=_canonical_faces(faces))
@@ -292,37 +295,87 @@ def _merge_near_duplicates(points):
     return points[keep]
 
 
-def _lattice_faces(faces, edges, n_vertices, m, pts, is_interior):
-    """The m^2 lattice triangles of every face, for a pass (m, 0).
+def _lattice_faces(faces, n_vertices, pair, pts, is_interior):
+    """The lattice triangles of every face for a pass (m, n), Goldberg-Coxeter.
 
-    Indices follow ``subdivide_mesh``'s blocks: the vertices, m - 1 nodes
-    per sorted edge (node j at j/m from its lower end), then each face's
-    interior nodes.  Point (q1, q2) of face (v0, va, vb) lies q1/m towards
-    va and q2/m towards vb.
+    Indices follow ``subdivide_mesh``'s blocks: the vertices, g - 1 nodes
+    per sorted edge (node k at k/g from its lower end, g = gcd(m, n)),
+    then each face's interior nodes.  Point (q1, q2) of face (v0, va, vb)
+    has integer weights (w0, alpha, beta) out of T = m^2 + m n + n^2 on
+    its corners (``_bary_numerators``).  A face keeps the up and down
+    lattice triangles whose centroid lies in its closed triangle; one
+    whose centroid is on a parent edge (m = n mod 3) is kept only by the
+    face that walks that edge from its lower to its higher index.  A
+    corner with a negative weight w_x lies in the neighbour across the
+    edge y -> z opposite x, with weights T - w_z on y, T - w_y on z and
+    -w_x on the neighbour's third vertex.
     """
-    local = np.zeros((m + 1, m + 1), dtype=np.int64)
-    local[pts[:, 0], pts[:, 1]] = np.arange(len(pts))
+    m, n = pair
+    t, g = m * m + m * n + n * n, math.gcd(m, n)
+    # half-edge s of a face walks faces[:, s] -> nxt[:, s]; sorted on their
+    # undirected keys, the two half-edges of the e-th edge sit at 2e, 2e + 1
+    nxt = np.roll(faces, -1, axis=1)
+    key = np.minimum(faces, nxt) * n_vertices + np.maximum(faces, nxt)
+    by_edge = np.argsort(key.ravel())
+    edge, twin = np.empty_like(by_edge), np.empty_like(by_edge)
+    edge[by_edge] = np.arange(len(by_edge)) // 2
+    twin[by_edge] = by_edge.reshape(-1, 2)[:, ::-1].ravel()
+    edge, across, slot = (a.reshape(-1, 3) for a in (edge, twin // 3, twin % 3))
+    # global index of every lattice point of every face's closed triangle
+    local = np.zeros((m + n + 1, m + n + 1), dtype=np.int64)
+    local[pts[:, 0] + n, pts[:, 1]] = np.arange(len(pts))
     table = np.empty((len(faces), len(pts)), dtype=np.int64)
     n_int = int(is_interior.sum())
-    first = n_vertices + len(edges) * (m - 1)
+    first = n_vertices + len(by_edge) // 2 * (g - 1)
     table[:, is_interior] = first + np.arange(len(faces) * n_int).reshape(
         len(faces), n_int
     )
-    table[:, local[[0, m, 0], [0, 0, m]]] = faces
-    keys = edges[:, 0] * n_vertices + edges[:, 1]
-    j = np.arange(1, m)
-    for s, t, q1, q2 in ((0, 1, j, 0 * j), (1, 2, m - j, j), (2, 0, 0 * j, m - j)):
-        a, b = faces[:, s], faces[:, t]
-        e = np.searchsorted(keys, np.minimum(a, b) * n_vertices + np.maximum(a, b))
-        jj = np.where((a < b)[:, None], j, m - j)
-        table[:, local[q1, q2]] = n_vertices + e[:, None] * (m - 1) + jj - 1
-    q1, q2 = pts[pts.sum(axis=1) < m].T
-    r1, r2 = pts[pts.sum(axis=1) < m - 1].T
-    template = np.concatenate([
-        np.column_stack([local[q1, q2], local[q1 + 1, q2], local[q1, q2 + 1]]),
-        np.column_stack([local[r1 + 1, r2], local[r1 + 1, r2 + 1], local[r1, r2 + 1]]),
-    ])
-    return table[:, template].reshape(-1, 3)
+    corner = np.array([[0, 0], [m, n], [-n, m + n]])
+    table[:, local[corner[:, 0] + n, corner[:, 1]]] = faces
+    k = np.arange(1, g)
+    step = np.roll(corner, -1, axis=0) - corner
+    q = corner[:, None] + k[:, None] * step[:, None] // g
+    kk = np.stack([g - k, k])[(faces < nxt).astype(np.intp)]
+    table[:, local[q[..., 0] + n, q[..., 1]].ravel()] = (
+        n_vertices + edge[..., None] * (g - 1) + kk - 1
+    ).reshape(len(faces), -1)
+    # the up and down triangles whose centroid (the sum of their corners'
+    # weights, out of 3T) lies in the closed triangle
+    origin = np.stack(np.meshgrid(
+        np.arange(-n - 1, m + 1), np.arange(-1, m + n + 1), indexing="ij"
+    ), axis=-1).reshape(-1, 1, 1, 2)
+    up_down = [[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]]
+    tri = (origin + up_down).reshape(-1, 3, 2)
+    alpha, beta = _bary_numerators(tri, m, n)
+    w = np.stack([t - alpha - beta, alpha, beta], axis=-1)
+    inside = np.all(w.sum(axis=1) >= 0, axis=1)
+    tri, w = tri[inside], w[inside]
+    # each corner outside the face gets a column of its own: (T - w_y,
+    # T - w_z, -w_x) are its weights on the neighbour's (z, y, third)
+    # vertices, rolled by the slot of z -> y in the neighbour
+    out = w.min(axis=2) < 0
+    wo = w[out]
+    x = wo.argmin(axis=1)
+    u = [t, t, 0] - np.take_along_axis(wo, (x[:, None] + [1, 2, 3]) % 3, axis=1)
+    na, nb = u[:, [1, 0, 2]], u[:, [2, 1, 0]]
+    loc = local[(m * na - n * nb) // t + n, (n * na + (m + n) * nb) // t]
+    s = (x + 1) % 3
+    table = np.concatenate(
+        [table, table[across[:, s], loc[np.arange(len(s)), slot[:, s]]]], axis=1
+    )
+    cols = np.empty(out.shape, dtype=np.int64)
+    cols[~out] = local[tri[~out][..., 0] + n, tri[~out][..., 1]]
+    cols[out] = len(pts) + np.arange(len(s))
+    # every face keeps the triangles with no centroid weight 0; one with a
+    # 0 opposite vertex x goes to the face walking the edge after x low -> high
+    tie = w.sum(axis=1) == 0
+    sure = ~tie.any(axis=1)
+    low_high = (faces < nxt)[:, (tie[~sure].argmax(axis=1) + 1) % 3]
+    n_sure = len(faces) * int(sure.sum())
+    lattice = np.empty((n_sure + int(low_high.sum()), 3), dtype=np.int64)
+    np.take(table, cols[sure], axis=1, out=lattice[:n_sure].reshape(len(faces), -1, 3))
+    lattice[n_sure:] = table[:, cols[~sure]][low_high]
+    return lattice
 
 
 def _is_hull(points, faces):
@@ -377,9 +430,9 @@ def subdivide_mesh(mesh, pair, base=None):
     arc-length rule for edge nodes depends only on the edge's endpoints,
     so the two faces sharing an edge always agree on its nodes.
 
-    For a pair (m, 0) whose lattice triangles pass the hull certificate,
-    they come attached as the result's ``mesh`` (faces as
-    ``convex_hull_triangulation`` orders them) and the certificate's
+    When the lattice triangles of the pass (``_lattice_faces``) pass the
+    hull certificate, they come attached as the result's ``mesh`` (faces
+    as ``convex_hull_triangulation`` orders them) and the certificate's
     shortest-edge check replaces the KD-tree scan for near-duplicates;
     otherwise ``mesh`` is None.  The count is checked against the closed
     form (V - 2) * (m^2 + n^2 + m n) + 2; a mismatch raises
@@ -429,12 +482,9 @@ def subdivide_mesh(mesh, pair, base=None):
         blocks.append(solved)
 
     points = np.concatenate(blocks)
-    faces = None
-    if n == 0:
-        faces = _lattice_faces(f, edges, n_vertices, m, pts, is_interior)
-        if not _is_hull(points, faces):
-            faces = None
-    if faces is None:
+    faces = _lattice_faces(f, n_vertices, (m, n), pts, is_interior)
+    if not _is_hull(points, faces):
+        faces = None
         points = _merge_near_duplicates(points)
     expected = (n_vertices - 2) * gamma + 2
     if len(points) != expected:
@@ -456,7 +506,8 @@ def generate(base, pairs):
     """Full pipeline: base polyhedron refined by a sequence of integer pairs.
 
     Each pass subdivides the current mesh; its hull (the certified lattice
-    mesh, else qhull's) is the next mesh, and the final one stays attached
+    mesh, else qhull's, as for the tetrahedron's (1,1), whose cube faces
+    are cocircular ties) is the next mesh, and the final one stays attached
     for metric evaluation.  The point count always equals
     2 + (V0 - 2) * prod_k gamma(m_k, n_k).
     """

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import spheregrid
 import spheregrid.meshgen as meshgen
 from spheregrid import GeometryError, expected_cardinality, generate
-from spheregrid.cli import main, read_config_csv, run_sweep
+from spheregrid.cli import main, read_config_csv, run_sweep, write_config_csv, write_obj
 from oracle import spiral_points
 
 
@@ -191,19 +192,35 @@ def test_obj_output_builds_one_hull_per_pass(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(meshgen, "ConvexHull", counting)
     cfg_path = tmp_path / "cfg.csv"
-    # the (2,0) pass comes with its certified lattice mesh, so only the
-    # (1,1) pass needs qhull
+    # both passes come with their certified lattice meshes, so generate
+    # needs no qhull; export reads points only and builds one hull
     assert run_cli("generate", "--seq", "1,1;2,0", "--out", str(cfg_path)) == 0
-    assert calls == [32]
-    calls.clear()
+    assert calls == []
     assert run_cli("generate", "--seq", "1,1;2,0", "--format", "obj",
                    "--out", str(tmp_path / "gen.obj")) == 0
-    assert calls == [32]
-    calls.clear()
+    assert calls == []
     assert run_cli("export", "--in", str(cfg_path), "--format", "obj",
                    "--out", str(tmp_path / "exp.obj")) == 0
     assert calls == [122]
     assert (tmp_path / "gen.obj").read_bytes() == (tmp_path / "exp.obj").read_bytes()
+
+
+def test_writers_match_per_value_formatting():
+    # the row-by-row f-string writers on numpy scalars are the reference
+    awkward = [-0.0, 5e-324, 1.0 - 2.0**-53, 1e-300, -1.0, 0.1, np.pi]
+    rng = np.random.default_rng(5)
+    points = np.concatenate([np.array(awkward)[rng.integers(0, 7, size=(70_000, 3))],
+                             rng.normal(size=(1_000, 3))])
+    faces = rng.integers(0, 2**40, size=(70_000, 3)) + 2**31
+    csv_text, obj_text = io.StringIO(), io.StringIO()
+    write_config_csv(points, csv_text)
+    write_obj(points, faces, obj_text)
+    assert csv_text.getvalue() == "".join(
+        f"{x:.17g},{y:.17g},{z:.17g}\n" for x, y, z in points
+    )
+    assert obj_text.getvalue() == "".join(
+        f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in points
+    ) + "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in faces)
 
 
 def test_io_error_exit_4(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spheregrid.meshgen as meshgen
 from spheregrid import (
@@ -285,13 +287,25 @@ def passes(base, pairs):
     + [
         ("icosahedron", [(1, 1), (4, 0), (4, 0)]),
         ("octahedron", [(3, 1), (4, 0), (4, 0)]),
+    ]
+    + [
+        ("icosahedron", [pair])
+        for pair in [(73, 37), (68, 43), (85, 22), (90, 13),
+                     (1, 1), (2, 1), (3, 1), (4, 2), (6, 3), (6, 6), (12, 4)]
+    ]
+    + [("octahedron", [(2, 1)]), ("octahedron", [(5, 3)])]
+    + [("tetrahedron", [(2, 1)]), ("tetrahedron", [(3, 2)])]
+    + [
+        ("icosahedron", [(1, 1), (15, 2)]),
+        ("octahedron", [(9, 4), (3, 1)]),
+        ("icosahedron", [(4, 0), (2, 1)]),
+        ("icosahedron", [(1, 1), (4, 0), (3, 2)]),
+        ("icosahedron", [(2, 1), (3, 1), (2, 1)]),
+        ("octahedron", [(3, 1), (4, 0), (5, 2)]),
     ],
 )
 def test_lattice_mesh_equals_the_qhull_hull(base, pairs):
     for pair, cfg in passes(base, pairs):
-        if pair[1] > 0:
-            assert cfg.mesh is None
-            continue
         hull = convex_hull_triangulation(cfg.points)
         assert cfg.mesh is not None
         # both builders roll each face to its smallest index and sort the
@@ -299,16 +313,38 @@ def test_lattice_mesh_equals_the_qhull_hull(base, pairs):
         assert np.array_equal(cfg.mesh.faces, hull.faces)
 
 
-def test_uncertified_lattice_mesh_falls_back_to_qhull():
-    # the tetrahedron's (5,0) lattice triangles are not its hull
-    cfg = subdivide_mesh(base_polyhedron("tetrahedron"), (5, 0))
+def assert_qhull_route(base, pair):
+    """The certificate refuses ``pair`` on ``base``, and ``generate`` then
+    gives the pass's points with qhull's faces."""
+    cfg = subdivide_mesh(base_polyhedron(base), pair)
     assert cfg.mesh is None
-    out = generate("tetrahedron", [(5, 0)])
+    out = generate(base, [pair])
     assert np.array_equal(out.points, cfg.points)
     assert np.array_equal(out.hull().faces, convex_hull_triangulation(cfg.points).faces)
 
 
-def test_generate_runs_qhull_only_on_passes_with_n_above_0(monkeypatch):
+def test_uncertified_lattice_mesh_falls_back_to_qhull():
+    # the tetrahedron's (5,0) lattice triangles are not its hull, and its
+    # (1,1) pass is a cube whose square faces are cocircular ties
+    for pair in [(5, 0), (1, 1)]:
+        assert_qhull_route("tetrahedron", pair)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    base=st.sampled_from(BASES),
+    pair=st.integers(1, 9).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
+)
+def test_lattice_mesh_is_the_hull_or_is_refused(base, pair):
+    cfg = subdivide_mesh(base_polyhedron(base), pair)
+    if cfg.mesh is None:
+        assert_qhull_route(base, pair)
+    else:
+        hull = convex_hull_triangulation(cfg.points)
+        assert np.array_equal(cfg.mesh.faces, hull.faces)
+
+
+def test_generate_runs_no_qhull_on_certified_passes(monkeypatch):
     calls = []
     real = meshgen.ConvexHull
 
@@ -317,10 +353,18 @@ def test_generate_runs_qhull_only_on_passes_with_n_above_0(monkeypatch):
         return real(points)
 
     monkeypatch.setattr(meshgen, "ConvexHull", counting)
-    cfg = generate("icosahedron", [(1, 1), (4, 0), (4, 0), (4, 0)])
-    assert calls == [32]
-    assert cfg.n == 122882
-    validate_mesh(cfg.hull())
+    for pairs in [[(1, 1), (4, 0), (4, 0), (4, 0)], [(73, 37)]]:
+        cfg = generate("icosahedron", pairs)
+        assert calls == []
+        assert cfg.n == expected_cardinality("icosahedron", pairs)
+        validate_mesh(cfg.hull())
+
+
+def test_hull_refuses_points_inside_it():
+    inside = np.array([[0.1, 0.0, 0.0], [0.0, -0.2, 0.3]])
+    points = np.vstack([base_polyhedron("octahedron").vertices, inside])
+    with pytest.raises(GeometryError, match="hull dropped 2 of them"):
+        convex_hull_triangulation(points)
 
 
 def flipped_diagonal(mesh):
