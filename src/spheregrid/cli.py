@@ -20,6 +20,7 @@ from .errors import (
     GeometryError,
     ParameterError,
     SolverError,
+    SphereGridError,
 )
 from .meshgen import (
     SphericalConfig,
@@ -218,7 +219,7 @@ def _sweep_instance(task):
             "seconds": f"{seconds:.3f}",
             "_sort": cfg.n,
         }
-    except Exception as exc:  # error row, sweep continues
+    except SphereGridError as exc:  # error row, sweep continues
         print(f"sweep instance l={l} failed: {exc}", file=sys.stderr)
         return {
             "family": family.text,

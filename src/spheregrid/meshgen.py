@@ -6,17 +6,17 @@ grid nodes interior to a face are placed by the inverse area-coordinate
 solve on its spherical triangle, nodes on shared edges at equal arc-length
 fractions of the edge arc, and the per-face results fuse into one point
 set.  The convex hull of that set is again a closed triangulated mesh, so
-the step can be applied repeatedly with a sequence of integer pairs.  That
-hull is built from each face's Caspar-Klug lattice triangles (the
+the step can be applied repeatedly with a sequence of integer pairs.  Every
+pass returns that hull: the faces' Caspar-Klug lattice triangles (the
 Goldberg-Coxeter construction) once an O(F log F) certificate accepts
-them; qhull builds it only for passes the certificate refuses.
+them, else qhull's hull of the points.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ConsistencyError, GeometryError, ParameterError
 from .lattice import (
@@ -181,21 +181,21 @@ def base_polyhedron(name):
     return TriangleMesh(vertices=v, faces=_orient_outward(v, f))
 
 
-def _unique_edges(faces, n_vertices):
-    """Undirected edges of a closed, consistently oriented mesh, with apexes.
+def _half_edges(faces, n_vertices):
+    """The two half-edges of every edge of a closed, consistently oriented mesh.
 
-    Returns the (E, 2) edges, lower index first, sorted, and for each edge
-    (i, j) the third vertex of the face walking i -> j and of the one
-    walking j -> i.  In such a mesh every edge is traversed once in each
-    direction, so the half-edges with i < j are the edges and the
-    remaining half-edges are exactly their reversals.  Raises
-    GeometryError otherwise.
+    Half-edge 3 k + s of face k walks faces[k, s] -> faces[k, (s + 1) % 3].
+    Returns the (E, 2) half-edge ids, edges sorted on their (lower,
+    higher) vertex key: column 0 walks lower -> higher, column 1 back.  In
+    such a mesh every edge is traversed once in each direction, so the
+    half-edges with i < j are the edges and the remaining half-edges are
+    exactly their reversals.  Raises GeometryError otherwise.
     """
     f = np.asarray(faces, dtype=np.int64)
-    i, j, apex = (f[:, k].T.ravel() for k in ([0, 1, 2], [1, 2, 0], [2, 0, 1]))
-    up = i < j
+    i, j = f.ravel(), np.roll(f, -1, axis=1).ravel()
+    up, down = np.flatnonzero(i < j), np.flatnonzero(i >= j)
     key = i[up] * n_vertices + j[up]
-    twin = j[~up] * n_vertices + i[~up]
+    twin = j[down] * n_vertices + i[down]
     by_key, by_twin = np.argsort(key), np.argsort(twin)
     key, twin = key[by_key], twin[by_twin]
     if not np.array_equal(key, twin) or np.any(key[1:] == key[:-1]):
@@ -203,8 +203,7 @@ def _unique_edges(faces, n_vertices):
             "mesh is not a closed, consistently oriented 2-manifold "
             "(edge not traversed once in each direction)"
         )
-    edges = np.column_stack([key // n_vertices, key % n_vertices])
-    return edges, apex[up][by_key], apex[~up][by_twin]
+    return np.column_stack([up[by_key], down[by_twin]])
 
 
 def validate_mesh(mesh, sphere_tol=1e-12):
@@ -217,8 +216,7 @@ def validate_mesh(mesh, sphere_tol=1e-12):
     radii = np.sqrt((v * v).sum(axis=1))
     if not np.all(np.abs(radii - 1.0) <= sphere_tol):
         raise GeometryError("mesh vertices are not on the unit sphere")
-    edges, _, _ = _unique_edges(f, len(v))
-    if len(v) - len(edges) + len(f) != 2:
+    if len(v) - len(_half_edges(f, len(v))) + len(f) != 2:
         raise GeometryError("mesh violates Euler characteristic V - E + F = 2")
     a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
     if np.any((np.cross(b - a, c - a) * (a + b + c)).sum(axis=1) <= 0.0):
@@ -241,9 +239,9 @@ def convex_hull_triangulation(points):
 
     Faces index the input array, whose order is preserved.  Each face row
     starts at its smallest index and the rows are sorted, as in
-    ``subdivide_mesh``'s lattice meshes; ``generate`` calls it only for a
-    pass whose lattice mesh the certificate refuses, and ``export`` and
-    ``metrics --in`` for points read from a file.  Coplanar facet patches
+    ``subdivide_mesh``'s lattice meshes; ``subdivide_mesh`` calls it only
+    for a pass whose lattice mesh the certificate refuses, and ``export``
+    and ``metrics --in`` for points read from a file.  Coplanar facet patches
     (several hull points on a common plane circle) come out triangulated
     deterministically for a fixed input ordering.  Every input point must
     be a hull vertex, which holds for any point set on the sphere without
@@ -284,20 +282,11 @@ def canonical_order(points):
     return points[_canonical_permutation(points)]
 
 
-def _merge_near_duplicates(points):
-    """Drop points closer than DEDUP_TOL to an earlier point."""
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(DEDUP_TOL, output_type="ndarray")
-    if len(pairs) == 0:
-        return points
-    keep = np.ones(len(points), dtype=bool)
-    keep[pairs.max(axis=1)] = False
-    return points[keep]
-
-
-def _lattice_faces(faces, n_vertices, pair, pts, is_interior):
+def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     """The lattice triangles of every face for a pass (m, n), Goldberg-Coxeter.
 
+    ``half`` is the parent's edge pairing from ``_half_edges``; it gives
+    every half-edge its edge and its twin, the neighbour face and slot.
     Indices follow ``subdivide_mesh``'s blocks: the vertices, g - 1 nodes
     per sorted edge (node k at k/g from its lower end, g = gcd(m, n)),
     then each face's interior nodes.  Point (q1, q2) of face (v0, va, vb)
@@ -312,21 +301,18 @@ def _lattice_faces(faces, n_vertices, pair, pts, is_interior):
     """
     m, n = pair
     t, g = m * m + m * n + n * n, math.gcd(m, n)
-    # half-edge s of a face walks faces[:, s] -> nxt[:, s]; sorted on their
-    # undirected keys, the two half-edges of the e-th edge sit at 2e, 2e + 1
+    # half-edge s of a face walks faces[:, s] -> nxt[:, s]
     nxt = np.roll(faces, -1, axis=1)
-    key = np.minimum(faces, nxt) * n_vertices + np.maximum(faces, nxt)
-    by_edge = np.argsort(key.ravel())
-    edge, twin = np.empty_like(by_edge), np.empty_like(by_edge)
-    edge[by_edge] = np.arange(len(by_edge)) // 2
-    twin[by_edge] = by_edge.reshape(-1, 2)[:, ::-1].ravel()
+    edge, twin = np.empty((2, faces.size), dtype=np.int64)
+    edge[half] = np.arange(len(half))[:, None]
+    twin[half] = half[:, ::-1]
     edge, across, slot = (a.reshape(-1, 3) for a in (edge, twin // 3, twin % 3))
     # global index of every lattice point of every face's closed triangle
     local = np.zeros((m + n + 1, m + n + 1), dtype=np.int64)
     local[pts[:, 0] + n, pts[:, 1]] = np.arange(len(pts))
     table = np.empty((len(faces), len(pts)), dtype=np.int64)
     n_int = int(is_interior.sum())
-    first = n_vertices + len(by_edge) // 2 * (g - 1)
+    first = n_vertices + len(half) * (g - 1)
     table[:, is_interior] = first + np.arange(len(faces) * n_int).reshape(
         len(faces), n_int
     )
@@ -382,24 +368,27 @@ def _is_hull(points, faces):
     """Whether ``faces`` are the convex hull of the on-sphere ``points``.
 
     Certified when the mesh is closed and consistently oriented with
-    V - E + F = 2; every edge is locally convex as in STRIPACK (Renka
-    1997): the apex d across edge a -> b of face (a, b, c) lies below its
-    plane, Shewchuk's orient3d(a, b, c, d) > 0 beyond his static error
-    bound, so a cocircular tie is left to qhull; every face faces outward;
+    V - E + F = 2 (``_half_edges``); every edge is locally convex as in
+    STRIPACK (Renka 1997): the apex d across edge a -> b of face (a, b, c),
+    a the edge's lower index, lies below its plane, Shewchuk's
+    orient3d(a, b, c, d) > 0 beyond his static error bound, so a
+    cocircular tie is left to qhull; every face faces outward;
     and the solid angles add up to 4 pi, so no vertex star winds twice.
     The shortest edge must exceed DEDUP_TOL; nearest neighbours are hull
     edges.
     """
     try:
-        edges, apex, across = _unique_edges(faces, len(points))
+        half = _half_edges(faces, len(points))
     except GeometryError:
         return False
-    if len(points) - len(edges) + len(faces) != 2:
+    if len(points) - len(half) + len(faces) != 2:
         return False
+    # half-edge 3 k + s starts at corner s of face k, opposite corner s - 1
+    corner, apex = faces.ravel(), np.roll(faces, 1, axis=1).ravel()
     xyz = np.ascontiguousarray(points.T)
-    for k in range(0, len(edges), _CERT_CHUNK):
-        sl = slice(k, k + _CERT_CHUNK)
-        a, b, c, d = (xyz[:, i[sl]] for i in (edges[:, 0], edges[:, 1], apex, across))
+    for k in range(0, len(half), _CERT_CHUNK):
+        h = half[k:k + _CERT_CHUNK]
+        a, b, c, d = (xyz[:, x[h[:, i]]] for x in (corner, apex) for i in (0, 1))
         ad, bd, cd = a - d, b - d, c - d
         det = permanent = 0.0
         for u, v, w in ((ad, bd, cd), (bd, cd, ad), (cd, ad, bd)):
@@ -430,12 +419,13 @@ def subdivide_mesh(mesh, pair, base=None):
     arc-length rule for edge nodes depends only on the edge's endpoints,
     so the two faces sharing an edge always agree on its nodes.
 
-    When the lattice triangles of the pass (``_lattice_faces``) pass the
-    hull certificate, they come attached as the result's ``mesh`` (faces
-    as ``convex_hull_triangulation`` orders them) and the certificate's
-    shortest-edge check replaces the KD-tree scan for near-duplicates;
-    otherwise ``mesh`` is None.  The count is checked against the closed
-    form (V - 2) * (m^2 + n^2 + m n) + 2; a mismatch raises
+    The result's ``mesh`` is the hull of its points, faces as
+    ``convex_hull_triangulation`` orders them: the lattice triangles of the
+    pass (``_lattice_faces``) when they pass the hull certificate, else
+    qhull's hull of the ordered points.  The count is checked against the
+    closed form (V - 2) * (m^2 + n^2 + m n) + 2, and the shortest hull edge
+    against DEDUP_TOL (nearest neighbours are hull edges; the certificate
+    checks it on the lattice route); either failure raises
     ConsistencyError.
     """
     m, n = validate_pair(pair)
@@ -458,15 +448,15 @@ def subdivide_mesh(mesh, pair, base=None):
     int_lb = beta[is_interior] / float(gamma)
     n_int = int(is_interior.sum())
 
-    edges, _, _ = _unique_edges(f, n_vertices)
+    half = _half_edges(f, n_vertices)
 
     blocks = [v]
     if gc > 1:
         frac = np.arange(1, gc) / float(gc)
-        n_edges = len(edges)
-        end_a = np.repeat(v[edges[:, 0]], gc - 1, axis=0)
-        end_b = np.repeat(v[edges[:, 1]], gc - 1, axis=0)
-        target = np.tile(frac, n_edges)
+        ends = f.ravel()[half]
+        end_a = np.repeat(v[ends[:, 0]], gc - 1, axis=0)
+        end_b = np.repeat(v[ends[:, 1]], gc - 1, axis=0)
+        target = np.tile(frac, len(half))
         blocks.append(_slerp(end_a, end_b, target))
 
     if n_int > 0:
@@ -482,24 +472,27 @@ def subdivide_mesh(mesh, pair, base=None):
         blocks.append(solved)
 
     points = np.concatenate(blocks)
-    faces = _lattice_faces(f, n_vertices, (m, n), pts, is_interior)
-    if not _is_hull(points, faces):
-        faces = None
-        points = _merge_near_duplicates(points)
     expected = (n_vertices - 2) * gamma + 2
     if len(points) != expected:
         raise ConsistencyError(
             f"subdivision produced {len(points)} points, expected {expected} "
             f"for pair ({m},{n}) on a {n_vertices}-vertex mesh"
         )
+    faces = _lattice_faces(f, half, n_vertices, (m, n), pts, is_interior)
     order = _canonical_permutation(points)
-    points = points[order]
-    out = SphericalConfig(points=points, base=base, pairs=((m, n),))
-    if faces is not None:
+    if _is_hull(points, faces):
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        out.mesh = TriangleMesh(vertices=points, faces=_canonical_faces(rank[faces]))
-    return out
+        hull = TriangleMesh(vertices=points[order], faces=_canonical_faces(rank[faces]))
+    else:
+        hull = convex_hull_triangulation(points[order])
+        tri = hull.vertices[hull.faces]
+        if ((tri - np.roll(tri, 1, axis=1)) ** 2).sum(axis=2).min() <= DEDUP_TOL**2:
+            raise ConsistencyError(
+                f"subdivision produced points within {DEDUP_TOL:g} of each other "
+                f"for pair ({m},{n}) on a {n_vertices}-vertex mesh"
+            )
+    return SphericalConfig(points=hull.vertices, base=base, pairs=((m, n),), mesh=hull)
 
 
 def generate(base, pairs):
@@ -508,8 +501,8 @@ def generate(base, pairs):
     Each pass subdivides the current mesh; its hull (the certified lattice
     mesh, else qhull's, as for the tetrahedron's (1,1), whose cube faces
     are cocircular ties) is the next mesh, and the final one stays attached
-    for metric evaluation.  The point count always equals
-    2 + (V0 - 2) * prod_k gamma(m_k, n_k).
+    for metric evaluation.  Each pass checks its closed-form count, so the
+    point count is 2 + (V0 - 2) * prod_k gamma(m_k, n_k).
     """
     name = canonical_base_name(base)
     pair_list = [validate_pair(p) for p in pairs]
@@ -517,12 +510,7 @@ def generate(base, pairs):
         raise ParameterError("sequence must contain at least one integer pair")
     mesh = base_polyhedron(name)
     for pair in pair_list:
-        cfg = subdivide_mesh(mesh, pair, base=name)
-        mesh = cfg.hull()
-    out = SphericalConfig(
-        points=cfg.points, base=name, pairs=tuple(pair_list), mesh=mesh
+        mesh = subdivide_mesh(mesh, pair, base=name).mesh
+    return SphericalConfig(
+        points=mesh.vertices, base=name, pairs=tuple(pair_list), mesh=mesh
     )
-    expected = expected_cardinality(name, pair_list)
-    if out.n != expected:
-        raise ConsistencyError(f"generated {out.n} points, expected {expected}")
-    return out

@@ -11,7 +11,8 @@ import pytest
 
 import spheregrid
 import spheregrid.meshgen as meshgen
-from spheregrid import GeometryError, expected_cardinality, generate
+import spheregrid.cli as cli
+from spheregrid import ConsistencyError, GeometryError, expected_cardinality, generate
 from spheregrid.cli import main, read_config_csv, run_sweep, write_config_csv, write_obj
 from oracle import spiral_points
 
@@ -265,6 +266,25 @@ def test_sweep_error_row_continues(tmp_path):
     rows = run_sweep("icosa", "l,2", 1, 3, n_cap=10**6)
     assert [r["l"] for r in rows] == [2, 3]
     assert all(r["N"] != "" for r in rows)
+
+
+def raising(error):
+    def fail(base, pairs):
+        raise error("injected")
+    return fail
+
+
+def test_sweep_error_row_on_a_library_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "generate", raising(ConsistencyError))
+    rows = run_sweep("icosa", "l,0", 2, 2, jobs=1)
+    assert [(r["l"], r["N"], r["mesh_ratio"]) for r in rows] == [(2, "", "")]
+    assert "sweep instance l=2 failed: injected" in capsys.readouterr().err
+
+
+def test_sweep_lets_a_program_error_through(monkeypatch):
+    monkeypatch.setattr(cli, "generate", raising(TypeError))
+    with pytest.raises(TypeError, match="injected"):
+        run_sweep("icosa", "l,0", 2, 2, jobs=1)
 
 
 def test_predicted_cardinality_matches_generate():

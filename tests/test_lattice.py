@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheregrid import (
     DomainError,
     ParameterError,
     barycentric_coords,
+    base_polyhedron,
     lattice_points,
+    subdivide_mesh,
     to_plane,
     triangulation_number,
     validate_pair,
 )
+from util import BASES
 
 
 def enumerate_triangle_points(m, n):
@@ -74,6 +79,22 @@ def test_lattice_point_count_closed_form():
             g = math.gcd(m, n)
             gamma = triangulation_number(m, n)
             assert len(lattice_points(m, n)) == (gamma + 3 * g) // 2 + 1
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    base=st.sampled_from(BASES),
+    pair=st.integers(1, 30).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+)
+def test_lattice_counts_property(base, pair):
+    # Pick's theorem: the triangle has area T/2 in lattice units and
+    # 3 gcd(m, n) boundary points; every face splits into T triangles
+    m, n = pair
+    t = triangulation_number(m, n)
+    assert len(lattice_points(m, n)) == (t + 3 * math.gcd(m, n)) // 2 + 1
+    if m <= 9:
+        mesh = base_polyhedron(base)
+        assert subdivide_mesh(mesh, pair).mesh.n_faces == mesh.n_faces * t
 
 
 def test_lattice_points_sorted_and_unique():

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import spheregrid.meshgen as meshgen
 from spheregrid import (
+    ConsistencyError,
     GeometryError,
     ParameterError,
     TriangleMesh,
@@ -16,6 +19,7 @@ from spheregrid import (
     subdivide_mesh,
     validate_mesh,
 )
+from spheregrid.cli import main
 from util import BASES, random_sequence, unit_rows
 
 
@@ -272,13 +276,30 @@ def test_hull_faces_start_at_their_smallest_index():
         assert np.array_equal(faces[:, 0], faces.min(axis=1))
 
 
+@contextmanager
+def counting_qhull():
+    """The point count of every qhull call made inside the block."""
+    calls = []
+    real = meshgen.ConvexHull
+
+    def counting(points):
+        calls.append(len(points))
+        return real(points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshgen, "ConvexHull", counting)
+        yield calls
+
+
 def passes(base, pairs):
-    """(pair, configuration) of every pass, each refining the last one's hull."""
+    """(pair, configuration, qhull calls) of every pass, each refining the
+    last one's hull."""
     mesh = base_polyhedron(base)
     for pair in pairs:
-        cfg = subdivide_mesh(mesh, pair)
-        yield pair, cfg
-        mesh = cfg.hull()
+        with counting_qhull() as calls:
+            cfg = subdivide_mesh(mesh, pair)
+        yield pair, cfg, calls
+        mesh = cfg.mesh
 
 
 @pytest.mark.parametrize(
@@ -305,9 +326,9 @@ def passes(base, pairs):
     ],
 )
 def test_lattice_mesh_equals_the_qhull_hull(base, pairs):
-    for pair, cfg in passes(base, pairs):
+    for pair, cfg, calls in passes(base, pairs):
+        assert calls == []
         hull = convex_hull_triangulation(cfg.points)
-        assert cfg.mesh is not None
         # both builders roll each face to its smallest index and sort the
         # rows, so equal face sets give equal arrays
         assert np.array_equal(cfg.mesh.faces, hull.faces)
@@ -316,11 +337,12 @@ def test_lattice_mesh_equals_the_qhull_hull(base, pairs):
 def assert_qhull_route(base, pair):
     """The certificate refuses ``pair`` on ``base``, and ``generate`` then
     gives the pass's points with qhull's faces."""
-    cfg = subdivide_mesh(base_polyhedron(base), pair)
-    assert cfg.mesh is None
+    with counting_qhull() as calls:
+        cfg = subdivide_mesh(base_polyhedron(base), pair)
+    assert calls == [cfg.n]
     out = generate(base, [pair])
     assert np.array_equal(out.points, cfg.points)
-    assert np.array_equal(out.hull().faces, convex_hull_triangulation(cfg.points).faces)
+    assert np.array_equal(out.mesh.faces, convex_hull_triangulation(cfg.points).faces)
 
 
 def test_uncertified_lattice_mesh_falls_back_to_qhull():
@@ -336,28 +358,48 @@ def test_uncertified_lattice_mesh_falls_back_to_qhull():
     pair=st.integers(1, 9).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
 )
 def test_lattice_mesh_is_the_hull_or_is_refused(base, pair):
-    cfg = subdivide_mesh(base_polyhedron(base), pair)
-    if cfg.mesh is None:
+    with counting_qhull() as calls:
+        cfg = subdivide_mesh(base_polyhedron(base), pair)
+    if calls:
         assert_qhull_route(base, pair)
     else:
         hull = convex_hull_triangulation(cfg.points)
         assert np.array_equal(cfg.mesh.faces, hull.faces)
 
 
-def test_generate_runs_no_qhull_on_certified_passes(monkeypatch):
-    calls = []
-    real = meshgen.ConvexHull
-
-    def counting(points):
-        calls.append(len(points))
-        return real(points)
-
-    monkeypatch.setattr(meshgen, "ConvexHull", counting)
+def test_generate_runs_no_qhull_on_certified_passes():
     for pairs in [[(1, 1), (4, 0), (4, 0), (4, 0)], [(73, 37)]]:
-        cfg = generate("icosahedron", pairs)
+        with counting_qhull() as calls:
+            cfg = generate("icosahedron", pairs)
         assert calls == []
         assert cfg.n == expected_cardinality("icosahedron", pairs)
         validate_mesh(cfg.hull())
+
+
+@pytest.mark.parametrize(
+    "offset,error,message",
+    [
+        (0.0, GeometryError, "hull dropped 1 of them"),
+        (1e-11, ConsistencyError, "within 1e-09 of each other"),
+        (5e-10, ConsistencyError, "within 1e-09 of each other"),
+    ],
+)
+def test_near_duplicate_on_the_qhull_route_is_refused(monkeypatch, capsys, offset,
+                                                      error, message):
+    # the tetrahedron's (5,0) pass goes to qhull; one solved node is moved
+    # to within ``offset`` of another, along the sphere
+    real = meshgen._solve_interior
+
+    def copying(*args):
+        out = real(*args)
+        tangent = np.cross(out[0], [0.6, 0.0, 0.8])
+        out[1] = out[0] + offset * tangent / np.linalg.norm(tangent)
+        return out
+
+    monkeypatch.setattr(meshgen, "_solve_interior", copying)
+    with pytest.raises(error, match=message):
+        subdivide_mesh(base_polyhedron("tetrahedron"), (5, 0))
+    assert main(["generate", "--base", "tetra", "--seq", "5,0"]) == 3
 
 
 def test_hull_refuses_points_inside_it():
@@ -369,8 +411,9 @@ def test_hull_refuses_points_inside_it():
 
 def flipped_diagonal(mesh):
     """The mesh with the shared edge (i, j) of two faces swapped for (c, d)."""
-    edges, apex, across = meshgen._unique_edges(mesh.faces, mesh.n_vertices)
-    (i, j), c, d = edges[0], apex[0], across[0]
+    half = meshgen._half_edges(mesh.faces, mesh.n_vertices)[0]
+    corner, apex = mesh.faces.ravel(), np.roll(mesh.faces, 1, axis=1).ravel()
+    (i, j), (c, d) = corner[half], apex[half]
     keep = [f for f in mesh.faces.tolist() if not {i, j} <= set(f)]
     faces = np.array(keep + [[i, d, c], [d, j, c]], dtype=np.int64)
     return TriangleMesh(vertices=mesh.vertices, faces=faces)

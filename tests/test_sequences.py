@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheregrid import ParameterError, format_sequence, parse_family, parse_sequence
 from spheregrid.sequences import SequenceParseError
@@ -52,6 +54,16 @@ def test_parse_format_round_trip_random():
             pairs.extend([(m, n)] * int(rng.integers(1, 4)))
         pairs = tuple(pairs)
         assert parse_sequence(format_sequence(pairs)) == pairs
+
+
+PAIRS = st.integers(1, 30).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(runs=st.lists(st.tuples(PAIRS, st.integers(1, 4)), min_size=1, max_size=6))
+def test_parse_format_round_trip_property(runs):
+    pairs = [pair for pair, k in runs for _ in range(k)]
+    assert parse_sequence(format_sequence(pairs)) == tuple(pairs)
 
 
 def test_parse_family_and_instantiate():
