@@ -20,8 +20,8 @@ from spheregrid import (
     generate,
     lattice_points,
     barycentric_coords,
+    project_to_sphere,
 )
-from spheregrid.spherical import _unit
 
 cfg = generate("icosahedron", [(5, 0)])
 report = evaluate(cfg, seq="5,0")
@@ -37,7 +37,7 @@ la, lb = bc[:, 0], bc[:, 1]
 pts = []
 for f in mesh.faces:
     v0, va, vb = mesh.vertices[f]
-    pts.append(_unit((1 - la - lb)[:, None] * v0 + la[:, None] * va + lb[:, None] * vb))
+    pts.append(project_to_sphere((1 - la - lb)[:, None] * v0 + la[:, None] * va + lb[:, None] * vb))
 pts = np.concatenate(pts)
 pts = pts[np.unique(np.round(pts / 1e-9).astype(np.int64), axis=0, return_index=True)[1]]
 radial = evaluate(SphericalConfig(points=pts))

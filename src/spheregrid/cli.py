@@ -10,6 +10,7 @@ import io
 import json
 import sys
 import time
+import warnings
 from multiprocessing import Pool
 
 import numpy as np
@@ -30,6 +31,7 @@ from .meshgen import (
 )
 from .metrics import evaluate
 from .sequences import format_sequence, parse_family, parse_sequence
+from .spherical import _norm
 
 SWEEP_COLUMNS = [
     "family",
@@ -69,25 +71,37 @@ def write_config_csv(points, stream):
 
 
 def read_config_csv(path):
-    """Load a configuration written by write_config_csv."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParameterError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise ParameterError(f"{path}:{lineno}: non-numeric field") from None
-    if not rows:
-        raise ParameterError(f"{path}: empty configuration file")
-    pts = np.array(rows)
-    radii = np.sqrt((pts * pts).sum(axis=1))
-    if not np.all(np.abs(radii - 1.0) <= 1e-9):
+    """Load a configuration written by write_config_csv.
+
+    numpy parses the file; one it refuses (a bad or whitespace-only line,
+    no rows) is read again line by line, which skips blank lines and
+    names the first bad line.
+    """
+    try:
+        with warnings.catch_warnings():  # the line reader reports an empty file
+            warnings.simplefilter("ignore", UserWarning)
+            pts = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                             dtype=np.float64, encoding="utf-8")
+    except ValueError:
+        pts = np.empty((0, 0))
+    if pts.shape[1:] != (3,) or len(pts) == 0:
+        rows = []
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != 3:
+                    raise ParameterError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+                try:
+                    rows.append([float(p) for p in parts])
+                except ValueError:
+                    raise ParameterError(f"{path}:{lineno}: non-numeric field") from None
+        if not rows:
+            raise ParameterError(f"{path}: empty configuration file")
+        pts = np.array(rows)
+    if not np.all(np.abs(_norm(pts.T) - 1.0) <= 1e-9):
         raise GeometryError(f"{path}: points are not on the unit sphere")
     return pts
 
@@ -101,14 +115,8 @@ def write_obj(points, faces, stream):
 def _metadata(n, base, seq, report=None):
     meta = {"n": int(n), "base": base, "seq": seq}
     if report is not None:
-        meta["metrics"] = {
-            "separation": report.separation,
-            "covering": report.covering,
-            "mesh_ratio": report.mesh_ratio,
-            "edge_ratio_min": report.edge_ratio_min,
-            "edge_ratio_mean": report.edge_ratio_mean,
-            "edge_ratio_hist": list(report.edge_ratio_hist),
-        }
+        meta["metrics"] = {k: getattr(report, k) for k in METRICS_COLUMNS[1:]}
+        meta["metrics"]["edge_ratio_hist"] = list(report.edge_ratio_hist)
     return meta
 
 
@@ -158,16 +166,7 @@ def _metrics_csv(report):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(METRICS_COLUMNS)
-    writer.writerow(
-        [
-            report.n,
-            f"{report.separation:.17g}",
-            f"{report.covering:.17g}",
-            f"{report.mesh_ratio:.17g}",
-            f"{report.edge_ratio_min:.17g}",
-            f"{report.edge_ratio_mean:.17g}",
-        ]
-    )
+    writer.writerow([report.n] + [f"{getattr(report, k):.17g}" for k in METRICS_COLUMNS[1:]])
     return buf.getvalue()
 
 
@@ -202,36 +201,20 @@ def cmd_metrics(args):
 def _sweep_instance(task):
     base, family_text, l = task
     family = parse_family(family_text)
+    row = dict.fromkeys(SWEEP_COLUMNS, "")
+    row.update(family=family.text, l=l, _sort=-1)
     try:
         pairs = family.instantiate(l)
         start = time.perf_counter()
         cfg = generate(base, pairs)
         report = evaluate(cfg)
         seconds = time.perf_counter() - start
-        return {
-            "family": family.text,
-            "l": l,
-            "seq": format_sequence(pairs),
-            "N": cfg.n,
-            "separation": f"{report.separation:.17g}",
-            "covering": f"{report.covering:.17g}",
-            "mesh_ratio": f"{report.mesh_ratio:.17g}",
-            "seconds": f"{seconds:.3f}",
-            "_sort": cfg.n,
-        }
     except SphereGridError as exc:  # error row, sweep continues
         print(f"sweep instance l={l} failed: {exc}", file=sys.stderr)
-        return {
-            "family": family.text,
-            "l": l,
-            "seq": "",
-            "N": "",
-            "separation": "",
-            "covering": "",
-            "mesh_ratio": "",
-            "seconds": "",
-            "_sort": -1,
-        }
+        return row
+    row.update({k: f"{getattr(report, k):.17g}" for k in ("separation", "covering", "mesh_ratio")})
+    row.update(seq=format_sequence(pairs), N=cfg.n, seconds=f"{seconds:.3f}", _sort=cfg.n)
+    return row
 
 
 def run_sweep(base, family_text, l_min, l_max, n_cap=10**6, jobs=1):
@@ -268,8 +251,7 @@ def run_sweep(base, family_text, l_min, l_max, n_cap=10**6, jobs=1):
 def write_sweep_csv(rows, stream):
     writer = csv.DictWriter(stream, fieldnames=SWEEP_COLUMNS)
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
 
 
 def cmd_sweep(args):

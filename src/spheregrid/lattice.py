@@ -50,22 +50,18 @@ def lattice_points(m, n):
     """
     m, n = validate_pair((m, n))
     g = m * m + n * n + m * n
-    # Bounding box of the corner coordinates; O(g) candidates.
+    # Bounding box of the corner coordinates, in lexicographic order; O(g)
+    # candidates.
     q1, q2 = np.meshgrid(
         np.arange(-n, m + 1, dtype=np.int64),
         np.arange(0, m + n + 1, dtype=np.int64),
         indexing="ij",
     )
-    q1 = q1.ravel()
-    q2 = q2.ravel()
+    pts = np.column_stack([q1.ravel(), q2.ravel()])
     # Integer-exact inclusion test: both barycentric numerators and their
     # sum must fall in [0, g].
-    alpha = (m + n) * q1 + n * q2
-    beta = -n * q1 + m * q2
-    keep = (alpha >= 0) & (beta >= 0) & (alpha + beta <= g)
-    pts = np.column_stack([q1[keep], q2[keep]])
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    return pts[order]
+    alpha, beta = _bary_numerators(pts, m, n)
+    return pts[(alpha >= 0) & (beta >= 0) & (alpha + beta <= g)]
 
 
 def _bary_numerators(points, m, n):

@@ -13,6 +13,7 @@ them, else qhull's hull of the points.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,9 @@ from .lattice import (
     triangulation_number,
     validate_pair,
 )
-from .spherical import _signed_excess, _slerp, _solve_interior, _unit
+from .spherical import (
+    _cross, _dot, _norm, _signed_excess, _slerp, _solve_interior, project_to_sphere,
+)
 
 #: two generated points closer than this are treated as duplicates
 DEDUP_TOL = 1e-9
@@ -35,6 +38,9 @@ _CHUNK = 400_000
 
 #: faces or edges per batch of the hull certificate
 _CERT_CHUNK = 65_536
+
+#: peak resident bytes per generated point, measured at N = 1,966,082
+_BYTES_PER_POINT = 560
 
 #: Shewchuk's static orient3d error bound, (7 + 56 eps) eps with eps = 2^-53
 _O3D_ERRBOUND = (7.0 + 56.0 * 2.0**-53) * 2.0**-53
@@ -114,13 +120,21 @@ def expected_cardinality(base, pairs):
     return 2 + (v0 - 2) * prod
 
 
+def _corners(vertices, faces):
+    """Component-major (3, F) coordinates of every face's corners a, b and c."""
+    xyz = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64).T)
+    return [xyz.take(f, axis=1) for f in np.asarray(faces).T]
+
+
+def _facing(vertices, faces):
+    """((b - a) x (c - a)) . (a + b + c) per face: > 0 when it faces outward."""
+    a, b, c = _corners(vertices, faces)
+    return _dot(_cross(b - a, c - a), a + b + c)
+
+
 def _orient_outward(vertices, faces):
     """Flip faces whose normal points toward the origin; returns faces."""
-    a = vertices[faces[:, 0]]
-    b = vertices[faces[:, 1]]
-    c = vertices[faces[:, 2]]
-    normals = np.cross(b - a, c - a)
-    inward = (normals * (a + b + c)).sum(axis=1) < 0.0
+    inward = _facing(vertices, faces) < 0.0
     faces = faces.copy()
     faces[inward] = faces[inward][:, [0, 2, 1]]
     return faces
@@ -177,7 +191,7 @@ def base_polyhedron(name):
             f.append((1 + k1, 6 + k, 6 + k1))
             f.append((11, 6 + k1, 6 + k))
         f = np.array(f, dtype=np.int64)
-    v = _unit(v)
+    v = project_to_sphere(v)
     return TriangleMesh(vertices=v, faces=_orient_outward(v, f))
 
 
@@ -213,13 +227,11 @@ def validate_mesh(mesh, sphere_tol=1e-12):
     radius check.
     """
     v, f = mesh.vertices, mesh.faces
-    radii = np.sqrt((v * v).sum(axis=1))
-    if not np.all(np.abs(radii - 1.0) <= sphere_tol):
+    if not np.all(np.abs(_norm(v.T) - 1.0) <= sphere_tol):
         raise GeometryError("mesh vertices are not on the unit sphere")
     if len(v) - len(_half_edges(f, len(v))) + len(f) != 2:
         raise GeometryError("mesh violates Euler characteristic V - E + F = 2")
-    a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-    if np.any((np.cross(b - a, c - a) * (a + b + c)).sum(axis=1) <= 0.0):
+    if np.any(_facing(v, f) <= 0.0):
         raise GeometryError("mesh has inward-facing faces")
 
 
@@ -388,7 +400,7 @@ def _is_hull(points, faces):
     xyz = np.ascontiguousarray(points.T)
     for k in range(0, len(half), _CERT_CHUNK):
         h = half[k:k + _CERT_CHUNK]
-        a, b, c, d = (xyz[:, x[h[:, i]]] for x in (corner, apex) for i in (0, 1))
+        a, b, c, d = (xyz.take(x[h[:, i]], axis=1) for x in (corner, apex) for i in (0, 1))
         ad, bd, cd = a - d, b - d, c - d
         det = permanent = 0.0
         for u, v, w in ((ad, bd, cd), (bd, cd, ad), (cd, ad, bd)):
@@ -396,12 +408,12 @@ def _is_hull(points, faces):
             det = det + (p - q) * u[2]
             permanent = permanent + (np.abs(p) + np.abs(q)) * np.abs(u[2])
         convex = np.all(det > _O3D_ERRBOUND * permanent)
-        if not (convex and np.all(((a - b) ** 2).sum(axis=0) > DEDUP_TOL**2)):
+        if not (convex and np.all(_dot(a - b, a - b) > DEDUP_TOL**2)):
             return False
     turn = 0.0
     for k in range(0, len(faces), _CERT_CHUNK):
         tri = faces[k:k + _CERT_CHUNK]
-        excess = _signed_excess(*(points[tri[:, i]] for i in range(3)))
+        excess = _signed_excess(*(xyz.take(tri[:, i], axis=1) for i in range(3)))
         if not np.all(excess > 0.0):
             return False
         turn += excess.sum()
@@ -429,12 +441,11 @@ def subdivide_mesh(mesh, pair, base=None):
     ConsistencyError.
     """
     m, n = validate_pair(pair)
-    v = np.asarray(mesh.vertices, dtype=np.float64)
+    xyz = np.ascontiguousarray(np.asarray(mesh.vertices, dtype=np.float64).T)
     f = np.asarray(mesh.faces, dtype=np.int64)
-    radii = np.sqrt((v * v).sum(axis=1))
-    if not np.all(np.abs(radii - 1.0) <= 1e-12):
+    if not np.all(np.abs(_norm(xyz) - 1.0) <= 1e-12):
         raise GeometryError("mesh vertices must lie on the unit sphere")
-    n_vertices = len(v)
+    n_vertices = xyz.shape[1]
     gamma = triangulation_number(m, n)
     gc = math.gcd(m, n)
 
@@ -450,28 +461,28 @@ def subdivide_mesh(mesh, pair, base=None):
 
     half = _half_edges(f, n_vertices)
 
-    blocks = [v]
+    # every block is component-major (3, .); the solver takes (M, 3) views
+    blocks = [xyz]
     if gc > 1:
         frac = np.arange(1, gc) / float(gc)
-        ends = f.ravel()[half]
-        end_a = np.repeat(v[ends[:, 0]], gc - 1, axis=0)
-        end_b = np.repeat(v[ends[:, 1]], gc - 1, axis=0)
-        target = np.tile(frac, len(half))
-        blocks.append(_slerp(end_a, end_b, target))
+        end_a, end_b = (
+            np.repeat(xyz.take(ends, axis=1), gc - 1, axis=1) for ends in f.ravel()[half].T
+        )
+        blocks.append(_slerp(end_a, end_b, np.tile(frac, len(half))))
 
     if n_int > 0:
-        v0 = np.repeat(v[f[:, 0]], n_int, axis=0)
-        va = np.repeat(v[f[:, 1]], n_int, axis=0)
-        vb = np.repeat(v[f[:, 2]], n_int, axis=0)
+        v0, va, vb = (np.repeat(xyz.take(c, axis=1), n_int, axis=1) for c in f.T)
         la = np.tile(int_la, len(f))
         lb = np.tile(int_lb, len(f))
         solved = np.empty_like(v0)
         for k in range(0, len(la), _CHUNK):
             sl = slice(k, k + _CHUNK)
-            solved[sl] = _solve_interior(v0[sl], va[sl], vb[sl], la[sl], lb[sl])
+            solved[:, sl] = _solve_interior(
+                v0[:, sl].T, va[:, sl].T, vb[:, sl].T, la[sl], lb[sl]
+            ).T
         blocks.append(solved)
 
-    points = np.concatenate(blocks)
+    points = np.concatenate(blocks, axis=1).T
     expected = (n_vertices - 2) * gamma + 2
     if len(points) != expected:
         raise ConsistencyError(
@@ -486,8 +497,8 @@ def subdivide_mesh(mesh, pair, base=None):
         hull = TriangleMesh(vertices=points[order], faces=_canonical_faces(rank[faces]))
     else:
         hull = convex_hull_triangulation(points[order])
-        tri = hull.vertices[hull.faces]
-        if ((tri - np.roll(tri, 1, axis=1)) ** 2).sum(axis=2).min() <= DEDUP_TOL**2:
+        a, b, c = _corners(hull.vertices, hull.faces)
+        if min(_dot(e, e).min() for e in (a - b, b - c, c - a)) <= DEDUP_TOL**2:
             raise ConsistencyError(
                 f"subdivision produced points within {DEDUP_TOL:g} of each other "
                 f"for pair ({m},{n}) on a {n_vertices}-vertex mesh"
@@ -502,12 +513,21 @@ def generate(base, pairs):
     mesh, else qhull's, as for the tetrahedron's (1,1), whose cube faces
     are cocircular ties) is the next mesh, and the final one stays attached
     for metric evaluation.  Each pass checks its closed-form count, so the
-    point count is 2 + (V0 - 2) * prod_k gamma(m_k, n_k).
+    point count is 2 + (V0 - 2) * prod_k gamma(m_k, n_k); a count whose
+    560 B a point exceed physical memory raises ParameterError up front.
     """
     name = canonical_base_name(base)
     pair_list = [validate_pair(p) for p in pairs]
     if len(pair_list) == 0:
         raise ParameterError("sequence must contain at least one integer pair")
+    n = expected_cardinality(name, pair_list)
+    memory = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+              if hasattr(os, "sysconf") else math.inf)  # Windows has no figure
+    if n * _BYTES_PER_POINT > memory:
+        raise ParameterError(
+            f"N={n} points need about {n * _BYTES_PER_POINT / 2**30:.3g} GiB, more "
+            f"than the {memory / 2**30:.3g} GiB of physical memory"
+        )
     mesh = base_polyhedron(name)
     for pair in pair_list:
         mesh = subdivide_mesh(mesh, pair, base=name).mesh

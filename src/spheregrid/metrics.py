@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, ParameterError
-from .meshgen import SphericalConfig
+from .meshgen import SphericalConfig, _corners
+from .spherical import _cross, _dot, _norm
 
 #: facets with a cross-product norm below this use an explicit circumcentre solve
 _SLIVER_TOL = 1e-14
@@ -61,19 +62,10 @@ def _as_config(config):
     return SphericalConfig(points=np.asarray(config, dtype=np.float64))
 
 
-def _edge_lengths(mesh):
-    """(F, 3) chord lengths of every face's edges ab, bc and ca."""
-    v = np.asarray(mesh.vertices, dtype=np.float64)
-    f = np.asarray(mesh.faces, dtype=np.int64)
-    a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-    return np.stack(
-        [
-            np.sqrt(((a - b) ** 2).sum(axis=1)),
-            np.sqrt(((b - c) ** 2).sum(axis=1)),
-            np.sqrt(((c - a) ** 2).sum(axis=1)),
-        ],
-        axis=1,
-    )
+def _edge_lengths(corners):
+    """(3, F) chord lengths of every face's edges ab, bc and ca."""
+    a, b, c = corners
+    return np.stack([_norm(a - b), _norm(b - c), _norm(c - a)])
 
 
 def separation(config):
@@ -93,37 +85,39 @@ def separation(config):
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
         iu = np.triu_indices(len(pts), k=1)
         return float(np.sqrt(d2[iu].min()))
-    return float(_edge_lengths(config.hull()).min())
+    mesh = config.hull()
+    return float(_edge_lengths(_corners(mesh.vertices, mesh.faces)).min())
 
 
-def _facet_circumcentre_dirs(mesh):
-    """Outward unit circumcentre direction of every hull facet.
+def _covering(mesh, corners):
+    """The largest facet circumradius chord of a hull, from its corners.
 
+    Each facet's circumcentre direction is its outward unit normal.
     Raises GeometryError if a facet plane has the origin and the vertices'
     centroid on opposite sides, i.e. the hull leaves the origin outside.
     """
-    v = mesh.vertices
-    a, b, c = v[mesh.faces[:, 0]], v[mesh.faces[:, 1]], v[mesh.faces[:, 2]]
-    normals = np.cross(b - a, c - a)
-    norms = np.sqrt((normals * normals).sum(axis=1))
+    a, b, c = corners
+    normals = _cross(b - a, c - a)
+    norms = _norm(normals)
     sliver = norms < _SLIVER_TOL
     if np.any(sliver):
         # Near-degenerate facet: take the null direction of the edge matrix.
         for k in np.nonzero(sliver)[0]:
-            rows = np.vstack([b[k] - a[k], c[k] - a[k]])
+            rows = np.vstack([b[:, k] - a[:, k], c[:, k] - a[:, k]])
             _, _, vt = np.linalg.svd(rows)
-            normals[k] = vt[-1]
+            normals[:, k] = vt[-1]
             norms[k] = 1.0
-    height = (normals * a).sum(axis=1)
-    if np.any(height * (normals @ v.mean(axis=0) - height) > 0.0):
+    height = _dot(normals, a)
+    centroid = mesh.vertices.mean(axis=0)[:, None]
+    if np.any(height * (_dot(normals, centroid) - height) > 0.0):
         raise GeometryError(
             "points do not surround the origin; "
             "the covering radius is not read off their hull"
         )
-    dirs = normals / norms[:, None]
-    flip = (dirs * (a + b + c)).sum(axis=1) < 0.0
-    dirs[flip] = -dirs[flip]
-    return dirs, (a, b, c)
+    dirs = np.divide(normals, norms, out=normals)
+    flip = _dot(dirs, a + b + c) < 0.0
+    dirs[:, flip] = -dirs[:, flip]
+    return float(np.sqrt(max(_dot(dirs - x, dirs - x).max() for x in corners)))
 
 
 def covering(config):
@@ -138,12 +132,7 @@ def covering(config):
     if len(config.points) < 4:
         raise GeometryError("covering needs at least 4 points spanning 3-d")
     mesh = config.hull()
-    dirs, (a, b, c) = _facet_circumcentre_dirs(mesh)
-    d2 = np.maximum(
-        ((dirs - a) ** 2).sum(axis=1),
-        np.maximum(((dirs - b) ** 2).sum(axis=1), ((dirs - c) ** 2).sum(axis=1)),
-    )
-    return float(np.sqrt(d2.max()))
+    return _covering(mesh, _corners(mesh.vertices, mesh.faces))
 
 
 def mesh_ratio(config):
@@ -157,24 +146,26 @@ def edge_ratios(mesh):
 
     Equals 1 exactly for an equilateral face.
     """
-    return _face_ratios(_edge_lengths(mesh))
+    return _face_ratios(_edge_lengths(_corners(mesh.vertices, mesh.faces)))
 
 
 def _face_ratios(lengths):
-    """Per-face min/max ratio of an (F, 3) edge-chord array."""
+    """Per-face min/max ratio of a (3, F) edge-chord array."""
     if np.any(lengths <= 0.0):
         raise GeometryError("mesh has a degenerate face with a zero-length edge")
-    return lengths.min(axis=1) / lengths.max(axis=1)
+    return lengths.min(axis=0) / lengths.max(axis=0)
 
 
 def evaluate(config, base=None, seq=None):
-    """The full MetricsReport; the face-edge chords are built once."""
+    """The full MetricsReport; the face corners and edge chords are built once."""
     config = _as_config(config)
-    lengths = _edge_lengths(config.hull())
+    mesh = config.hull()
+    corners = _corners(mesh.vertices, mesh.faces)
+    lengths = _edge_lengths(corners)
     ratios = _face_ratios(lengths)
     hist, _ = np.histogram(ratios, bins=EDGE_RATIO_BINS, range=(0.0, 1.0))
     sep = float(lengths.min())
-    cov = covering(config)
+    cov = _covering(mesh, corners)
     return MetricsReport(
         n=config.n,
         separation=sep,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,13 @@ import pytest
 import spheregrid
 import spheregrid.meshgen as meshgen
 import spheregrid.cli as cli
-from spheregrid import ConsistencyError, GeometryError, expected_cardinality, generate
+from spheregrid import (
+    ConsistencyError,
+    GeometryError,
+    ParameterError,
+    expected_cardinality,
+    generate,
+)
 from spheregrid.cli import main, read_config_csv, run_sweep, write_config_csv, write_obj
 from oracle import spiral_points
 
@@ -290,3 +297,82 @@ def test_sweep_lets_a_program_error_through(monkeypatch):
 def test_predicted_cardinality_matches_generate():
     assert expected_cardinality("icosa", [(1, 1), (4, 0)]) == 482
     assert generate("icosa", [(1, 1), (4, 0)]).n == 482
+
+
+def config_file(tmp_path, text):
+    path = tmp_path / "cfg.csv"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1,0,0\n0,1,0\n0,1\n", ":3: expected 3 fields, got 2"),
+        ("1,0,0\n\n0,x,1\n", ":3: non-numeric field"),
+        ("0,1\n0,0\n", ":1: expected 3 fields, got 2"),
+        ("", ": empty configuration file"),
+        ("\n  \n\t\n", ": empty configuration file"),
+    ],
+)
+def test_reader_names_the_bad_line(tmp_path, text, message):
+    path = config_file(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError) as info:
+            read_config_csv(path)
+    assert str(info.value) == path + message
+
+
+def test_reader_skips_blank_and_whitespace_lines(tmp_path):
+    path = config_file(tmp_path, "\n1,0,0\n   \n0,1,0\n\t\n\n0,0,1\n \n")
+    assert np.array_equal(read_config_csv(path), np.eye(3))
+
+
+def test_reader_parses_like_float_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((40, 3))
+    lines = [
+        "-0.0,0,1", "0,-0.0,-1", "5e-324,0,1", "0,-5e-324,1",
+        f"{1 - 2**-53!r},0,0", f"0,0,{-(1 - 2**-53)!r}",
+    ] + ["%.17g,%.17g,%.17g" % tuple(r / np.linalg.norm(r)) for r in rows]
+    path = config_file(tmp_path, "\n".join(lines) + "\n")
+    expected = np.array([[float(x) for x in line.split(",")] for line in lines])
+    assert read_config_csv(path).tobytes() == expected.tobytes()
+
+
+# N = 2 + 10 * 3 * 16^9, about 2.1e12 points; never generated
+OVERSIZED = "1,1;(4,0)^9"
+
+
+@pytest.fixture
+def no_allocation(monkeypatch):
+    """Fail the test if a generate call gets past its guard."""
+    def refuse(name):
+        raise AssertionError("generate went on to build the base mesh")
+
+    monkeypatch.setattr(meshgen, "base_polyhedron", refuse)
+
+
+def test_generate_refuses_a_sequence_beyond_physical_memory(no_allocation, capsys):
+    pairs = spheregrid.parse_sequence(OVERSIZED)
+    with pytest.raises(ParameterError, match="GiB of physical memory"):
+        generate("icosa", pairs)
+    assert run_cli("generate", "--seq", OVERSIZED) == 2
+    assert run_cli("metrics", "--seq", OVERSIZED) == 2
+    n = expected_cardinality("icosa", pairs)
+    assert capsys.readouterr().err.count(f"error: N={n} points need about") == 2
+
+
+def test_sweep_turns_an_oversized_instance_into_an_error_row(no_allocation, capsys):
+    rows = run_sweep("icosa", "1,1;(4,0)^l", 9, 9, n_cap=10**13)
+    assert [(r["l"], r["N"], r["mesh_ratio"]) for r in rows] == [(9, "", "")]
+    assert "physical memory" in capsys.readouterr().err
+
+
+def test_generate_refuses_what_the_memory_figure_cannot_hold(monkeypatch):
+    figures = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64}  # 256 KiB
+    monkeypatch.setattr(os, "sysconf", figures.__getitem__)
+    # 482 points at 560 B a point need 269,920 B
+    with pytest.raises(ParameterError, match=r"N=482 .* 0\.000251 GiB, .* 0\.000244 GiB"):
+        generate("icosa", [(1, 1), (4, 0)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
 from spheregrid import (
@@ -320,3 +321,29 @@ def test_icosahedron_faces_solve_to_rounding(pair):
     p = point_from_area_coords(v0, va, vb, la, lb)
     ga, gb = area_coords(v0, va, vb, p)
     assert max(np.abs(ga - la).max(), np.abs(gb - lb).max()) <= 1e-14
+
+
+# finite floats whose products and sums of three stay finite, with the
+# signed zeros and subnormals drawn often
+components = st.one_of(
+    st.floats(-1e150, 1e150),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, -(2.0**-1074) * 3]),
+)
+xyz_rows = arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)), elements=components)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(a=xyz_rows, data=st.data())
+def test_kernels_match_the_axis_reductions_bit_for_bit(a, data):
+    b = data.draw(arrays(np.float64, a.shape, elements=components))
+    prod = a * b
+    dot, want = spherical._dot(a.T, b.T), prod.sum(axis=-1)
+    # numpy's sum starts from +0.0, so three -0.0 products sum to +0.0
+    # there and to -0.0 left to right; every other row has the same bits
+    neg_zero = np.all((prod == 0.0) & np.signbit(prod), axis=1)
+    assert dot[~neg_zero].tobytes() == want[~neg_zero].tobytes()
+    assert np.all(want[neg_zero] == 0.0) and np.all(np.signbit(dot[neg_zero]))
+    norm = spherical._norm(a.T)
+    assert norm.tobytes() == np.sqrt((a * a).sum(axis=-1)).tobytes()
+    cross = spherical._cross(a.T, b.T)
+    assert np.ascontiguousarray(cross.T).tobytes() == np.cross(a, b).tobytes()
