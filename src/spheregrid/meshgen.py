@@ -203,7 +203,8 @@ def _half_edges(faces, n_vertices):
     higher) vertex key: column 0 walks lower -> higher, column 1 back.  In
     such a mesh every edge is traversed once in each direction, so the
     half-edges with i < j are the edges and the remaining half-edges are
-    exactly their reversals.  Raises GeometryError otherwise.
+    exactly their reversals.  Raises GeometryError otherwise, or when
+    V - E + F != 2.
     """
     f = np.asarray(faces, dtype=np.int64)
     i, j = f.ravel(), np.roll(f, -1, axis=1).ravel()
@@ -217,6 +218,8 @@ def _half_edges(faces, n_vertices):
             "mesh is not a closed, consistently oriented 2-manifold "
             "(edge not traversed once in each direction)"
         )
+    if n_vertices - len(key) + len(f) != 2:
+        raise GeometryError("mesh violates Euler characteristic V - E + F = 2")
     return np.column_stack([up[by_key], down[by_twin]])
 
 
@@ -229,8 +232,7 @@ def validate_mesh(mesh, sphere_tol=1e-12):
     v, f = mesh.vertices, mesh.faces
     if not np.all(np.abs(_norm(v.T) - 1.0) <= sphere_tol):
         raise GeometryError("mesh vertices are not on the unit sphere")
-    if len(v) - len(_half_edges(f, len(v))) + len(f) != 2:
-        raise GeometryError("mesh violates Euler characteristic V - E + F = 2")
+    _half_edges(f, len(v))
     if np.any(_facing(v, f) <= 0.0):
         raise GeometryError("mesh has inward-facing faces")
 
@@ -257,13 +259,13 @@ def convex_hull_triangulation(points):
     (several hull points on a common plane circle) come out triangulated
     deterministically for a fixed input ordering.  Every input point must
     be a hull vertex, which holds for any point set on the sphere without
-    duplicates.
+    duplicates.  qhull runs with Q5: no output reads its outer planes.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3 or len(points) < 4:
         raise GeometryError("hull needs at least 4 distinct 3-d points")
     try:
-        hull = ConvexHull(points)
+        hull = ConvexHull(points, qhull_options="Q5")
     except QhullError as exc:
         raise GeometryError(f"convex hull failed: {exc}") from exc
     used = np.count_nonzero(np.bincount(hull.simplices.ravel(), minlength=len(points)))
@@ -277,20 +279,27 @@ def convex_hull_triangulation(points):
 
 
 def _canonical_permutation(points):
-    """Row order of ``canonical_order``.
-
-    z and theta are compared to 12 decimals, so rounding noise does not
-    move rows; theta = -pi counts as pi.
+    """Row order of ``canonical_order``: one argsort of the int64 key
+    rank_z * N + rank_theta (exact for N < 3e9), dense ranks of z and theta
+    rounded to 12 decimals so rounding noise does not move rows; theta = -pi
+    counts as pi.  Equal values (0.0 and -0.0, and all NaNs, which rank
+    last) share a rank, as in a sort; tied keys leave the order to
+    ``np.lexsort((y, x, theta, z))``.
     """
     theta = np.round(np.arctan2(points[:, 1], points[:, 0]), 12)
     theta[theta == -np.round(np.pi, 12)] = np.round(np.pi, 12)
     z = np.round(points[:, 2], 12)
-    return np.lexsort((points[:, 1], points[:, 0], theta, z))
+    rank_z, rank_theta = (np.unique(v, return_inverse=True)[1] for v in (z, theta))
+    key = rank_z * len(points) + rank_theta
+    order = np.argsort(key)
+    if np.any(np.diff(key[order]) == 0):
+        return np.lexsort((points[:, 1], points[:, 0], theta, z))
+    return order
 
 
 def canonical_order(points):
     """Deterministic point ordering: by z, then theta = atan2(y, x), both to
-    12 decimals, then (x, y)."""
+    12 decimals (one packed integer key), then (x, y) where keys tie."""
     return points[_canonical_permutation(points)]
 
 
@@ -393,8 +402,6 @@ def _is_hull(points, faces):
         half = _half_edges(faces, len(points))
     except GeometryError:
         return False
-    if len(points) - len(half) + len(faces) != 2:
-        return False
     # half-edge 3 k + s starts at corner s of face k, opposite corner s - 1
     corner, apex = faces.ravel(), np.roll(faces, 1, axis=1).ravel()
     xyz = np.ascontiguousarray(points.T)
@@ -438,7 +445,8 @@ def subdivide_mesh(mesh, pair, base=None):
     closed form (V - 2) * (m^2 + n^2 + m n) + 2, and the shortest hull edge
     against DEDUP_TOL (nearest neighbours are hull edges; the certificate
     checks it on the lattice route); either failure raises
-    ConsistencyError.
+    ConsistencyError.  A qhull hull that is not closed with V - E + F = 2
+    raises GeometryError, as the certificate refuses such a lattice mesh.
     """
     m, n = validate_pair(pair)
     xyz = np.ascontiguousarray(np.asarray(mesh.vertices, dtype=np.float64).T)
@@ -497,6 +505,7 @@ def subdivide_mesh(mesh, pair, base=None):
         hull = TriangleMesh(vertices=points[order], faces=_canonical_faces(rank[faces]))
     else:
         hull = convex_hull_triangulation(points[order])
+        _half_edges(hull.faces, len(points))
         a, b, c = _corners(hull.vertices, hull.faces)
         if min(_dot(e, e).min() for e in (a - b, b - c, c - a)) <= DEDUP_TOL**2:
             raise ConsistencyError(

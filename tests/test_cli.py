@@ -22,6 +22,7 @@ from spheregrid import (
 )
 from spheregrid.cli import main, read_config_csv, run_sweep, write_config_csv, write_obj
 from oracle import spiral_points
+from util import counting_qhull
 
 
 def run_cli(*args):
@@ -190,26 +191,19 @@ def test_non_finite_config_file_exit_3(tmp_path, capsys):
     assert run_cli("export", "--in", str(bad)) == 3
 
 
-def test_obj_output_builds_one_hull_per_pass(tmp_path, monkeypatch, capsys):
-    calls = []
-    real = meshgen.ConvexHull
-
-    def counting(points):
-        calls.append(len(points))
-        return real(points)
-
-    monkeypatch.setattr(meshgen, "ConvexHull", counting)
+def test_obj_output_builds_one_hull_per_pass(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.csv"
-    # both passes come with their certified lattice meshes, so generate
-    # needs no qhull; export reads points only and builds one hull
-    assert run_cli("generate", "--seq", "1,1;2,0", "--out", str(cfg_path)) == 0
-    assert calls == []
-    assert run_cli("generate", "--seq", "1,1;2,0", "--format", "obj",
-                   "--out", str(tmp_path / "gen.obj")) == 0
-    assert calls == []
-    assert run_cli("export", "--in", str(cfg_path), "--format", "obj",
-                   "--out", str(tmp_path / "exp.obj")) == 0
-    assert calls == [122]
+    with counting_qhull() as calls:
+        # both passes come with their certified lattice meshes, so generate
+        # needs no qhull; export reads points only and builds one hull
+        assert run_cli("generate", "--seq", "1,1;2,0", "--out", str(cfg_path)) == 0
+        assert calls == []
+        assert run_cli("generate", "--seq", "1,1;2,0", "--format", "obj",
+                       "--out", str(tmp_path / "gen.obj")) == 0
+        assert calls == []
+        assert run_cli("export", "--in", str(cfg_path), "--format", "obj",
+                       "--out", str(tmp_path / "exp.obj")) == 0
+        assert calls == [122]
     assert (tmp_path / "gen.obj").read_bytes() == (tmp_path / "exp.obj").read_bytes()
 
 

@@ -1,4 +1,4 @@
-from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from spheregrid import (
     validate_mesh,
 )
 from spheregrid.cli import main
-from util import BASES, random_sequence, unit_rows
+from util import BASES, counting_qhull, random_sequence, unit_rows
 
 
 def count_edges(faces, n_vertices):
@@ -276,21 +276,6 @@ def test_hull_faces_start_at_their_smallest_index():
         assert np.array_equal(faces[:, 0], faces.min(axis=1))
 
 
-@contextmanager
-def counting_qhull():
-    """The point count of every qhull call made inside the block."""
-    calls = []
-    real = meshgen.ConvexHull
-
-    def counting(points):
-        calls.append(len(points))
-        return real(points)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(meshgen, "ConvexHull", counting)
-        yield calls
-
-
 def passes(base, pairs):
     """(pair, configuration, qhull calls) of every pass, each refining the
     last one's hull."""
@@ -468,3 +453,90 @@ def test_canonical_order_is_stable_under_last_bit_noise():
     a, b = canonical_order(points), canonical_order(nudged)
     moved = np.abs(a - b).max(axis=1) > 1e-12
     assert moved.sum() <= 0.001 * len(points)
+
+
+def test_hull_faces_do_not_depend_on_qhull_outer_plane_pass(monkeypatch):
+    # "Q5" skips qhull's check of the outer planes; the reference hull is
+    # built with scipy's default options
+    from scipy.spatial import ConvexHull
+    from scipy.spatial.transform import Rotation
+
+    rotation = Rotation.random(random_state=17).as_matrix()
+    inputs = [
+        cuboctahedron(),
+        cuboctahedron() @ rotation.T,
+        subdivide_mesh(base_polyhedron("tetrahedron"), (1, 1)).points,
+        unit_rows(np.random.default_rng(5).normal(size=(500, 3))),
+    ]
+    faces = [convex_hull_triangulation(points).faces for points in inputs]
+    monkeypatch.setattr(meshgen, "ConvexHull", lambda points, **kwargs: ConvexHull(points))
+    for points, got in zip(inputs, faces):
+        assert np.array_equal(got, convex_hull_triangulation(points).faces)
+
+
+def test_open_qhull_hull_is_refused(monkeypatch, capsys):
+    # the tetrahedron's (5,0) pass goes to qhull, which here loses a facet
+    real = meshgen.ConvexHull
+
+    def dropping(points, **kwargs):
+        return SimpleNamespace(simplices=real(points, **kwargs).simplices[1:])
+
+    monkeypatch.setattr(meshgen, "ConvexHull", dropping)
+    with pytest.raises(GeometryError, match="not a closed"):
+        subdivide_mesh(base_polyhedron("tetrahedron"), (5, 0))
+    assert main(["generate", "--base", "tetra", "--seq", "5,0"]) == 3
+
+
+def test_two_component_mesh_violates_euler():
+    # two outward tetrahedra: closed and oriented, but V - E + F = 4
+    tet = base_polyhedron("tetrahedron")
+    twice = TriangleMesh(
+        vertices=np.vstack([tet.vertices, -tet.vertices]),
+        faces=np.vstack([tet.faces, tet.faces[:, ::-1] + 4]),
+    )
+    for check in (validate_mesh, lambda mesh: subdivide_mesh(mesh, (2, 0))):
+        with pytest.raises(GeometryError, match="Euler"):
+            check(twice)
+    assert not meshgen._is_hull(twice.vertices, twice.faces)
+
+
+def lexsort_order(points):
+    """The reference row order: a lexsort on (z, theta, x, y), z and theta
+    to 12 decimals, theta = -pi counted as pi."""
+    theta = np.round(np.arctan2(points[:, 1], points[:, 0]), 12)
+    theta[theta == -np.round(np.pi, 12)] = np.round(np.pi, 12)
+    z = np.round(points[:, 2], 12)
+    return np.lexsort((points[:, 1], points[:, 0], theta, z))
+
+
+ORDER_POOL = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-13, -1e-13, 5e-324, np.nan]
+POLES = st.tuples(
+    st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]), st.sampled_from([1.0, -1.0])
+)
+
+
+def ulp_nudge(value, ulps):
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, np.copysign(np.inf, ulps))
+    return value
+
+
+@st.composite
+def order_inputs(draw):
+    """Rows from a small pool, the poles and [-1, 1], plus exact duplicates
+    and rows nudged by up to 2 ulps in one coordinate."""
+    generic = st.tuples(*[st.floats(-1, 1)] * 3)
+    pool = st.tuples(*[st.sampled_from(ORDER_POOL)] * 3) | POLES | generic
+    rows = draw(st.lists(draw(st.sampled_from([pool, generic])), max_size=24))
+    for _ in range(draw(st.integers(0, 8)) if rows else 0):
+        row = list(draw(st.sampled_from(rows)))
+        c, ulps = draw(st.integers(0, 2)), draw(st.integers(-2, 2))
+        row[c] = ulp_nudge(row[c], ulps)
+        rows.append(tuple(row))
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(points=order_inputs())
+def test_canonical_permutation_equals_the_lexsort(points):
+    assert np.array_equal(meshgen._canonical_permutation(points), lexsort_order(points))

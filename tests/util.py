@@ -1,8 +1,12 @@
 """Shared helpers for the test suite."""
 
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 from scipy.spatial.transform import Rotation
 
+import spheregrid.meshgen as meshgen
 from spheregrid import expected_cardinality, generate
 
 BASES = ["tetrahedron", "octahedron", "icosahedron"]
@@ -97,3 +101,18 @@ def sliver_rows(rng, kind, thickness, m):
         )
         rows.append((*tri, *random_interior_coords(rng)))
     return tuple(np.array(col) for col in zip(*rows))
+
+
+@contextmanager
+def counting_qhull():
+    """The point count of every qhull call made inside the block."""
+    calls = []
+    real = meshgen.ConvexHull
+
+    def counting(points, **kwargs):
+        calls.append(len(points))
+        return real(points, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshgen, "ConvexHull", counting)
+        yield calls
