@@ -73,17 +73,20 @@ def write_config_csv(points, stream):
 def read_config_csv(path):
     """Load a configuration written by write_config_csv.
 
-    numpy parses the file; one it refuses (a bad or whitespace-only line,
-    no rows) is read again line by line, which skips blank lines and
-    names the first bad line.
+    numpy parses the file or, if it refuses (a whitespace-only line), its
+    non-blank lines; a file still refused (a bad line, no rows) is read
+    line by line, which names the first bad line.
     """
-    try:
-        with warnings.catch_warnings():  # the line reader reports an empty file
-            warnings.simplefilter("ignore", UserWarning)
-            pts = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                             dtype=np.float64, encoding="utf-8")
-    except ValueError:
-        pts = np.empty((0, 0))
+    pts = np.empty((0, 0))
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the line reader reports no rows
+        for source in (path, (line for line in fh if not line.isspace())):
+            try:
+                pts = np.loadtxt(source, delimiter=",", comments=None, ndmin=2,
+                                 dtype=np.float64, encoding="utf-8")
+                break
+            except ValueError:
+                pass
     if pts.shape[1:] != (3,) or len(pts) == 0:
         rows = []
         with open(path, "r", encoding="utf-8") as fh:

@@ -8,8 +8,9 @@ fractions of the edge arc, and the per-face results fuse into one point
 set.  The convex hull of that set is again a closed triangulated mesh, so
 the step can be applied repeatedly with a sequence of integer pairs.  Every
 pass returns that hull: the faces' Caspar-Klug lattice triangles (the
-Goldberg-Coxeter construction) once an O(F log F) certificate accepts
-them, else qhull's hull of the points.
+Goldberg-Coxeter construction) once a certificate accepts them, else
+qhull's hull.  The certificate sorts only the half-edges on or across a
+parent edge; the lattice template pairs the rest.
 """
 
 import math
@@ -195,32 +196,40 @@ def base_polyhedron(name):
     return TriangleMesh(vertices=v, faces=_orient_outward(v, f))
 
 
-def _half_edges(faces, n_vertices):
+def _half_edges(faces, n_vertices, known=()):
     """The two half-edges of every edge of a closed, consistently oriented mesh.
 
     Half-edge 3 k + s of face k walks faces[k, s] -> faces[k, (s + 1) % 3].
-    Returns the (E, 2) half-edge ids, edges sorted on their (lower,
-    higher) vertex key: column 0 walks lower -> higher, column 1 back.  In
-    such a mesh every edge is traversed once in each direction, so the
-    half-edges with i < j are the edges and the remaining half-edges are
-    exactly their reversals.  Raises GeometryError otherwise, or when
-    V - E + F != 2.
+    Returns the (E, 2) half-edge ids, column 0 walking lower -> higher,
+    column 1 back: first the ``known`` twins (``_lattice_faces``), given
+    in either order and checked in O(F), then the rest sorted on their
+    (lower, higher) vertex key.  In such a mesh every edge is traversed
+    once in each direction, so the half-edges with i < j are the edges and
+    the others exactly their reversals.  Raises GeometryError otherwise,
+    or when V - E + F != 2.
     """
     f = np.asarray(faces, dtype=np.int64)
     i, j = f.ravel(), np.roll(f, -1, axis=1).ravel()
-    up, down = np.flatnonzero(i < j), np.flatnonzero(i >= j)
+    upward = i < j
+    a, b = np.asarray(known, dtype=np.int64).reshape(-1, 2).T
+    a, b = np.where(upward[a], [a, b], [b, a])
+    rest = np.ones(len(i), dtype=bool)
+    rest[a] = rest[b] = False
+    up, down = np.flatnonzero(rest & upward), np.flatnonzero(rest & ~upward)
     key = i[up] * n_vertices + j[up]
     twin = j[down] * n_vertices + i[down]
     by_key, by_twin = np.argsort(key), np.argsort(twin)
     key, twin = key[by_key], twin[by_twin]
-    if not np.array_equal(key, twin) or np.any(key[1:] == key[:-1]):
+    if (not np.array_equal(key, twin) or np.any(key[1:] == key[:-1])
+            or len(key) + len(twin) + 2 * len(a) != len(i) or not np.all(upward[a])
+            or not (np.array_equal(i[a], j[b]) and np.array_equal(j[a], i[b]))):
         raise GeometryError(
             "mesh is not a closed, consistently oriented 2-manifold "
             "(edge not traversed once in each direction)"
         )
-    if n_vertices - len(key) + len(f) != 2:
+    if n_vertices - len(key) - len(a) + len(f) != 2:
         raise GeometryError("mesh violates Euler characteristic V - E + F = 2")
-    return np.column_stack([up[by_key], down[by_twin]])
+    return np.column_stack([np.concatenate([a, up[by_key]]), np.concatenate([b, down[by_twin]])])
 
 
 def validate_mesh(mesh, sphere_tol=1e-12):
@@ -243,9 +252,11 @@ def _canonical_faces(faces):
     The sort key is the directed edge from a face's first to its second
     vertex, which no other face of a closed oriented mesh walks.
     """
-    first = faces.argmin(axis=1)
-    faces = np.take_along_axis(faces, (first[:, None] + np.arange(3)) % 3, axis=1)
-    return faces[np.argsort(faces[:, 0] * (faces.max() + 1) + faces[:, 1])]
+    rolled, first = faces.copy(), faces.argmin(axis=1)
+    for k in (1, 2):
+        rows = np.flatnonzero(first == k)
+        rolled[rows] = faces[rows][:, [k, (k + 1) % 3, (k + 2) % 3]]
+    return rolled[np.argsort(rolled[:, 0] * (rolled.max() + 1) + rolled[:, 1])]
 
 
 def convex_hull_triangulation(points):
@@ -310,15 +321,18 @@ def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     every half-edge its edge and its twin, the neighbour face and slot.
     Indices follow ``subdivide_mesh``'s blocks: the vertices, g - 1 nodes
     per sorted edge (node k at k/g from its lower end, g = gcd(m, n)),
-    then each face's interior nodes.  Point (q1, q2) of face (v0, va, vb)
-    has integer weights (w0, alpha, beta) out of T = m^2 + m n + n^2 on
-    its corners (``_bary_numerators``).  A face keeps the up and down
-    lattice triangles whose centroid lies in its closed triangle; one
-    whose centroid is on a parent edge (m = n mod 3) is kept only by the
-    face that walks that edge from its lower to its higher index.  A
-    corner with a negative weight w_x lies in the neighbour across the
-    edge y -> z opposite x, with weights T - w_z on y, T - w_y on z and
-    -w_x on the neighbour's third vertex.
+    then the interior nodes, node-major (node k of face i at k F + i).
+    Point (q1, q2) of face (v0, va, vb) has integer weights (w0, alpha,
+    beta) out of T = m^2 + m n + n^2 on its corners (``_bary_numerators``).
+    A face keeps the up and down lattice triangles whose centroid lies in
+    its closed triangle; one whose centroid is on a parent edge (m = n mod
+    3) is kept only by the face that walks that edge from its lower to its
+    higher index.  A corner with a negative weight w_x lies in the
+    neighbour across the edge y -> z opposite x, with weights T - w_z on y,
+    T - w_y on z and -w_x on the neighbour's third vertex.  Returns the
+    triangles, each face's n_sure "sure" ones (no centroid weight 0)
+    first, and the twins the template fixes: sides joining two sure
+    triangles, 3 (f n_sure + t) + k and 3 (f n_sure + t') + k' for face f.
     """
     m, n = pair
     t, g = m * m + m * n + n * n, math.gcd(m, n)
@@ -334,9 +348,7 @@ def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     table = np.empty((len(faces), len(pts)), dtype=np.int64)
     n_int = int(is_interior.sum())
     first = n_vertices + len(half) * (g - 1)
-    table[:, is_interior] = first + np.arange(len(faces) * n_int).reshape(
-        len(faces), n_int
-    )
+    table[:, is_interior] = first + np.arange(len(faces) * n_int).reshape(n_int, len(faces)).T
     corner = np.array([[0, 0], [m, n], [-n, m + n]])
     table[:, local[corner[:, 0] + n, corner[:, 1]]] = faces
     k = np.arange(1, g)
@@ -382,24 +394,38 @@ def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     lattice = np.empty((n_sure + int(low_high.sum()), 3), dtype=np.int64)
     np.take(table, cols[sure], axis=1, out=lattice[:n_sure].reshape(len(faces), -1, 3))
     lattice[n_sure:] = table[:, cols[~sure]][low_high]
-    return lattice
+    # side k of a sure triangle walks P_k -> P_k+1; across it lies the
+    # triangle whose corner sum (3 x its centroid, so unique) is
+    # 2 (P_k + P_k+1) - P_k+2, and if that is sure, its side from P_k+1 is
+    # the twin.  Negative sums index the grid from its end, out of reach of
+    # the non-negative ones
+    ts = tri[sure]
+    cell = np.full((3 * (m + n + 4) + 1,) * 2, len(ts))
+    cell[tuple(ts.sum(axis=1).T)] = np.arange(len(ts))
+    p1 = np.roll(ts, -1, axis=1)
+    across = cell[tuple((2 * (ts + p1) - np.roll(ts, 1, axis=1)).T)].T
+    row, side = np.nonzero(across < len(ts))
+    row1 = across[row, side]
+    side1 = np.all(ts[row1] == p1[row, side, None], axis=-1).argmax(axis=1)
+    twins = np.stack([3 * row + side, 3 * row1 + side1], axis=-1)[row < row1]
+    return lattice, (3 * len(ts) * np.arange(len(faces))[:, None, None] + twins).reshape(-1, 2)
 
 
-def _is_hull(points, faces):
+def _is_hull(points, faces, known=()):
     """Whether ``faces`` are the convex hull of the on-sphere ``points``.
 
     Certified when the mesh is closed and consistently oriented with
-    V - E + F = 2 (``_half_edges``); every edge is locally convex as in
-    STRIPACK (Renka 1997): the apex d across edge a -> b of face (a, b, c),
-    a the edge's lower index, lies below its plane, Shewchuk's
-    orient3d(a, b, c, d) > 0 beyond his static error bound, so a
-    cocircular tie is left to qhull; every face faces outward;
-    and the solid angles add up to 4 pi, so no vertex star winds twice.
-    The shortest edge must exceed DEDUP_TOL; nearest neighbours are hull
-    edges.
+    V - E + F = 2 (``_half_edges``, which sorts only the half-edges not
+    ``known``); every edge is locally convex as in STRIPACK (Renka 1997):
+    the apex d across edge a -> b of face (a, b, c), a the edge's lower
+    index, lies below its plane, Shewchuk's orient3d(a, b, c, d) > 0
+    beyond his static error bound, so a cocircular tie is left to qhull;
+    every face faces outward; and the solid angles add up to 4 pi, so no
+    vertex star winds twice.  The shortest edge must exceed DEDUP_TOL;
+    nearest neighbours are hull edges.
     """
     try:
-        half = _half_edges(faces, len(points))
+        half = _half_edges(faces, len(points), known)
     except GeometryError:
         return False
     # half-edge 3 k + s starts at corner s of face k, opposite corner s - 1
@@ -479,16 +505,15 @@ def subdivide_mesh(mesh, pair, base=None):
         blocks.append(_slerp(end_a, end_b, np.tile(frac, len(half))))
 
     if n_int > 0:
-        v0, va, vb = (np.repeat(xyz.take(c, axis=1), n_int, axis=1) for c in f.T)
-        la = np.tile(int_la, len(f))
-        lb = np.tile(int_lb, len(f))
-        solved = np.empty_like(v0)
-        for k in range(0, len(la), _CHUNK):
-            sl = slice(k, k + _CHUNK)
-            solved[:, sl] = _solve_interior(
-                v0[:, sl].T, va[:, sl].T, vb[:, sl].T, la[sl], lb[sl]
-            ).T
-        blocks.append(solved)
+        # node-major: interior node k of face i is solved[:, k, i]
+        solved = np.empty((3, n_int, len(f)))
+        step = -(-_CHUNK // n_int)
+        for k in range(0, len(f), step):
+            corners = (xyz.take(c, axis=1).T[None] for c in f[k:k + step].T)
+            solved[:, :, k:k + step] = np.moveaxis(
+                _solve_interior(*corners, int_la[:, None], int_lb[:, None]), -1, 0
+            )
+        blocks.append(solved.reshape(3, -1))
 
     points = np.concatenate(blocks, axis=1).T
     expected = (n_vertices - 2) * gamma + 2
@@ -497,9 +522,9 @@ def subdivide_mesh(mesh, pair, base=None):
             f"subdivision produced {len(points)} points, expected {expected} "
             f"for pair ({m},{n}) on a {n_vertices}-vertex mesh"
         )
-    faces = _lattice_faces(f, half, n_vertices, (m, n), pts, is_interior)
+    faces, known = _lattice_faces(f, half, n_vertices, (m, n), pts, is_interior)
     order = _canonical_permutation(points)
-    if _is_hull(points, faces):
+    if _is_hull(points, faces, known):
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         hull = TriangleMesh(vertices=points[order], faces=_canonical_faces(rank[faces]))

@@ -199,10 +199,12 @@ def _solve_interior(v0, va, vb, la, lb):
     gradients, removes the rounding the plane intersection suffers on
     slivers.  Rows still above RESIDUAL_TOL, unless an input is not
     finite, go to the nested bisection before the residual contract is
-    enforced.  Rows come and go as (M, 3) arrays; the solve runs on their
-    transposes, so (M, 3) views of (3, M) arrays are never copied.
+    enforced.  Corners (..., 3) broadcast against fractions (...) to a
+    (..., 3) view of a (3, ...) result; given (1, F, 3) face corners and
+    (n, 1) node fractions, a face's own terms (excess, orientation, both
+    planes' a x b, a + b and 1 + a.b) are computed once, not n times.
     """
-    v0, va, vb = v0.T, va.T, vb.T
+    v0, va, vb = (np.moveaxis(v, -1, 0) for v in (v0, va, vb))
     total = _excess(v0, va, vb)
     s = np.sign(_dot(v0, _cross(va - v0, vb - v0)))
     nb, grad_b = _lexell(v0, va, s, 0.5 * lb * total)
@@ -210,14 +212,15 @@ def _solve_interior(v0, va, vb, la, lb):
     w = _cross(nb, na)
     p = (2.0 * _dot(v0, w) / _dot(w, w)) * w - v0
 
-    def residual(p, k=slice(None)):
+    def residual(p, v0, va, vb, s, total, la, lb):
         # signed, so a step from just across a side moves back; for
         # la, lb >= 0 the magnitudes bound area_coords' residuals
-        ra = s[k] * _signed_excess(v0[:, k], p, vb[:, k]) / total[k] - la[k]
-        rb = s[k] * _signed_excess(v0[:, k], va[:, k], p) / total[k] - lb[k]
+        ra = s * _signed_excess(v0, p, vb) / total - la
+        rb = s * _signed_excess(v0, va, p) / total - lb
         return ra, rb
 
-    ra, rb = residual(p)
+    terms = (v0, va, vb, s, total, la, lb)
+    ra, rb = residual(p, *terms)
     ga, gb = (g - _dot(g, p) * p for g in (grad_a(p), grad_b(p)))
     aa, ab, bb = _dot(ga, ga), _dot(ga, gb), _dot(gb, gb)
     ea, eb = ra * total, rb * total
@@ -226,23 +229,21 @@ def _solve_interior(v0, va, vb, la, lb):
     y = (ab * ea - aa * eb) / det
     p = _unit(p + x * ga + y * gb)
 
-    ra, rb = residual(p)
+    ra, rb = residual(p, *terms)
     res = np.maximum(np.abs(ra), np.abs(rb))
     finite = np.isfinite(v0 + va + vb).all(axis=0) & np.isfinite(la + lb)
-    idx = np.nonzero(~(res <= RESIDUAL_TOL) & finite)[0]
-    if len(idx):
-        p[:, idx] = _solve_interior_bisect(
-            v0[:, idx], va[:, idx], vb[:, idx], la[idx], lb[idx]
-        )
-        ra, rb = residual(p[:, idx], idx)
-        res[idx] = np.maximum(np.abs(ra), np.abs(rb))
-    worst = float(res.max()) if len(res) else 0.0
+    idx = (...,) + np.nonzero(~(res <= RESIDUAL_TOL) & finite)
+    if res[idx].size:  # each of the terms on the rows to redo, v0 to lb
+        rows = [np.broadcast_to(t, np.shape(t)[:-res.ndim] + res.shape)[idx] for t in terms]
+        p[idx] = _solve_interior_bisect(*rows[:3], *rows[5:])
+        res[idx] = np.maximum(*np.abs(residual(p[idx], *rows)))
+    worst = float(res.max()) if res.size else 0.0
     if not worst <= RESIDUAL_TOL:
         raise SolverError(
             f"area-coordinate solve missed tolerance at residual {worst:.3e}",
             residual=worst,
         )
-    return p.T
+    return np.moveaxis(p, 0, -1)
 
 
 def _validate_coords(la, lb):

@@ -1,8 +1,9 @@
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spheregrid.meshgen as meshgen
@@ -372,13 +373,14 @@ def test_generate_runs_no_qhull_on_certified_passes():
 def test_near_duplicate_on_the_qhull_route_is_refused(monkeypatch, capsys, offset,
                                                       error, message):
     # the tetrahedron's (5,0) pass goes to qhull; one solved node is moved
-    # to within ``offset`` of another, along the sphere
+    # to within ``offset`` of another, along the sphere (the solver returns
+    # node-major (n, F, 3) rows: node 1 of face 0 goes next to its node 0)
     real = meshgen._solve_interior
 
     def copying(*args):
         out = real(*args)
-        tangent = np.cross(out[0], [0.6, 0.0, 0.8])
-        out[1] = out[0] + offset * tangent / np.linalg.norm(tangent)
+        tangent = np.cross(out[0, 0], [0.6, 0.0, 0.8])
+        out[1, 0] = out[0, 0] + offset * tangent / np.linalg.norm(tangent)
         return out
 
     monkeypatch.setattr(meshgen, "_solve_interior", copying)
@@ -540,3 +542,65 @@ def order_inputs(draw):
 @given(points=order_inputs())
 def test_canonical_permutation_equals_the_lexsort(points):
     assert np.array_equal(meshgen._canonical_permutation(points), lexsort_order(points))
+
+
+@contextmanager
+def recording(name):
+    """The arguments of every call to ``meshgen.<name>`` inside the block."""
+    calls = []
+    real = getattr(meshgen, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshgen, name, spy)
+        yield calls
+
+
+def edge_rows(half):
+    return set(map(tuple, half.tolist()))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    base=st.sampled_from(BASES),
+    first=st.sampled_from([None, (1, 1), (2, 1)]),
+    pair=st.integers(1, 9).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+)
+@example(base="tetrahedron", first=None, pair=(5, 0))  # refused, qhull route
+@example(base="tetrahedron", first=None, pair=(1, 1))  # refused, ties only
+@example(base="icosahedron", first=(2, 1), pair=(4, 1))  # m = n mod 3
+@example(base="octahedron", first=None, pair=(6, 6))
+def test_lattice_template_twins_are_the_sorted_twins(base, first, pair):
+    mesh = base_polyhedron(base)
+    if first is not None:
+        mesh = subdivide_mesh(mesh, first).mesh
+    with recording("_is_hull") as calls:
+        subdivide_mesh(mesh, pair)
+    [(points, faces, known)] = calls
+    whole = meshgen._half_edges(faces, len(points))
+    assert edge_rows(meshgen._half_edges(faces, len(points), known)) == edge_rows(whole)
+    assert {frozenset(p) for p in known.tolist()} <= {frozenset(p) for p in whole.tolist()}
+
+
+@pytest.mark.parametrize(
+    "pairs,shares",
+    [([(1, 1), (4, 0), (4, 0), (4, 0)], [1.0, 0.25, 0.25, 0.25]), ([(73, 37)], [0.014])],
+)
+def test_certified_pass_sorts_only_its_parent_edge_half_edges(pairs, shares):
+    # each pass sorts its parent's half-edges whole, then of the new faces'
+    # only the sides on or across a parent edge and those of tie triangles:
+    # 12 of every 48 for (4,0), about 1.3% for (73,37); the (1,1) template
+    # joins no two sure triangles, so its 60 faces are sorted whole
+    with recording("_half_edges") as calls:
+        cfg = generate("icosahedron", pairs)
+    assert cfg.n == expected_cardinality("icosahedron", pairs)
+    sorted_counts = [(len(f), f.size - np.size(known)) for f, _, *known in calls]
+    faces = 20
+    for (m, n), share, parent, child in zip(pairs, shares, sorted_counts[::2], sorted_counts[1::2]):
+        assert parent == (faces, 3 * faces)
+        faces *= m * m + m * n + n * n
+        assert child[0] == faces and child[1] <= share * 3 * faces
+    assert len(sorted_counts) == 2 * len(pairs)

@@ -306,6 +306,49 @@ def test_bisection_fallback_meets_the_contract(monkeypatch):
     assert max(np.abs(ga - la).max(), np.abs(gb - lb).max()) <= 1e-12
 
 
+def solved_or_missed(*args):
+    """The solver's output bytes, or the residual of its SolverError."""
+    try:
+        return np.ascontiguousarray(_solve_interior(*args)).tobytes()
+    except SolverError as exc:
+        return exc.residual
+
+
+@pytest.mark.parametrize("kind", ["random", "cap", "needle"])
+def test_per_face_solve_equals_the_row_wise_solve_bit_for_bit(kind, monkeypatch):
+    # (1, F, 3) corners against (n, 1) fractions, as subdivide_mesh solves,
+    # against every (face, node) row on its own, 4 faces a call; on the 1e-4
+    # slivers some rows take the bisection fallback, and a call that still
+    # misses the contract must miss it by the same residual both ways
+    calls = []
+    bisect = spherical._solve_interior_bisect
+
+    def counted(v0, va, vb, la, lb):
+        calls.append(len(la))
+        return bisect(v0, va, vb, la, lb)
+
+    monkeypatch.setattr(spherical, "_solve_interior_bisect", counted)
+    rng = np.random.default_rng(31)
+    if kind == "random":
+        v0, va, vb = (np.array(c) for c in zip(*(random_triangle(rng) for _ in range(8))))
+    else:
+        v0, va, vb = sliver_rows(rng, kind, 1e-4, 8)[:3]
+    # every (7,3) lattice target but the corners, sides included
+    t = triangulation_number(7, 3)
+    alpha, beta = _bary_numerators(lattice_points(7, 3), 7, 3)
+    off_corner = (alpha % t > 0) | (beta % t > 0)
+    la, lb = alpha[off_corner] / t, beta[off_corner] / t
+    for k in range(0, len(v0), 4):
+        tri = [v[k:k + 4] for v in (v0, va, vb)]
+        per_face = solved_or_missed(*(v[None] for v in tri), la[:, None], lb[:, None])
+        if isinstance(per_face, bytes):  # node-major (n, F, 3) to face-major rows
+            per_face = np.frombuffer(per_face).reshape(len(la), 4, 3).transpose(1, 0, 2)
+            per_face = np.ascontiguousarray(per_face).tobytes()
+        rows = [np.repeat(v, len(la), axis=0) for v in tri]
+        assert per_face == solved_or_missed(*rows, np.tile(la, 4), np.tile(lb, 4))
+    assert (sum(calls) > 0) == (kind != "random")
+
+
 @pytest.mark.parametrize("pair", [(7, 3), (27, 0), (13, 8)])
 def test_icosahedron_faces_solve_to_rounding(pair):
     mesh = base_polyhedron("icosahedron")
