@@ -18,23 +18,26 @@ import numpy as np
 from spheregrid import evaluate, generate
 from spheregrid.cli import main, read_config_csv
 
-workdir = Path(tempfile.mkdtemp(prefix="spheregrid-demo-"))
-csv_path = workdir / "config.csv"
-obj_path = workdir / "config.obj"
+with tempfile.TemporaryDirectory(prefix="spheregrid-demo-") as tmp:
+    workdir = Path(tmp)
+    csv_path = workdir / "config.csv"
+    obj_path = workdir / "config.obj"
 
-main(["generate", "--base", "icosa", "--seq", "1,1;4,0", "--out", str(csv_path)])
-main(["export", "--in", str(csv_path), "--format", "obj", "--out", str(obj_path)])
+    main(["generate", "--base", "icosa", "--seq", "1,1;4,0", "--out", str(csv_path)])
+    main(["export", "--in", str(csv_path), "--format", "obj", "--out", str(obj_path)])
 
-print()
-print(f"files in {workdir}:")
-for p in sorted(workdir.iterdir()):
-    print(f"  {p.name:18s} {p.stat().st_size:8d} bytes")
+    print()
+    print(f"files in {workdir}:")
+    for p in sorted(workdir.iterdir()):
+        print(f"  {p.name:18s} {p.stat().st_size:8d} bytes")
 
-sidecar = json.loads((workdir / "config.csv.json").read_text())
-print()
-print("sidecar metadata:", sidecar)
+    sidecar = json.loads((workdir / "config.csv.json").read_text())
+    print()
+    print("sidecar metadata:", sidecar)
 
-pts = read_config_csv(str(csv_path))
+    pts = read_config_csv(str(csv_path))
+    head = obj_path.read_text().splitlines()
+
 cfg = generate("icosa", [(1, 1), (4, 0)])
 assert np.array_equal(pts, cfg.points)
 print()
@@ -44,6 +47,5 @@ a, b = evaluate(pts), evaluate(cfg)
 assert (a.separation, a.covering, a.mesh_ratio) == (b.separation, b.covering, b.mesh_ratio)
 print(f"metrics from file match exactly: mesh ratio {a.mesh_ratio:.9f}")
 
-head = obj_path.read_text().splitlines()
 print()
 print("OBJ head:", head[0], "|", head[482], f"| {len(head)} lines total")

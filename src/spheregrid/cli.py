@@ -145,12 +145,6 @@ def _export_text(cfg, fmt, seq, report=None):
     return buf.getvalue()
 
 
-def _write_sidecar(out_path, n, base, seq, report=None):
-    with open(out_path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(_metadata(n, base, seq, report), fh, indent=2)
-        fh.write("\n")
-
-
 def cmd_generate(args):
     pairs = parse_sequence(args.seq)
     cfg = generate(args.base, pairs)
@@ -158,7 +152,7 @@ def cmd_generate(args):
     text = _export_text(cfg, args.format, seq)
     _write_output(text, args.out)
     if args.out is not None and args.format in ("csv", "obj"):
-        _write_sidecar(args.out, cfg.n, cfg.base, seq)
+        _write_output(_export_text(cfg, "json", seq), args.out + ".json")
     info = f"N={cfg.n} base={cfg.base} seq={seq}"
     # Keep the data stream clean when it goes to stdout.
     print(info, file=sys.stderr if args.out is None else sys.stdout)
@@ -273,7 +267,7 @@ def cmd_export(args):
     text = _export_text(cfg, args.format, None, report)
     _write_output(text, args.out)
     if args.out is not None and args.format in ("csv", "obj"):
-        _write_sidecar(args.out, cfg.n, None, None, report)
+        _write_output(_export_text(cfg, "json", None, report), args.out + ".json")
     return 0
 
 

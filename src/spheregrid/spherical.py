@@ -10,7 +10,9 @@ the total spherical area taken by the sub-triangles opposite each
 vertex.  Recovering p from prescribed fractions has a closed form: by
 Lexell's theorem the apexes of equal area over a fixed base lie on one
 circle through the antipodes of the base's ends, and the two circles
-fixed by the fractions meet at -v0 and at p.
+fixed by the fractions meet at -v0 and at p.  Where rounding leaves a
+sliver's row above tolerance, the same closed form is started again
+from the other two vertex roles.
 """
 
 import numpy as np
@@ -19,8 +21,6 @@ from .errors import DomainError, GeometryError, SolverError
 
 #: residual tolerance (in area-fraction units) guaranteed by the solvers
 RESIDUAL_TOL = 1e-12
-
-_BISECT_ITERS = 62
 
 
 def _dot(a, b):
@@ -124,47 +124,6 @@ def area_coords(v0, va, vb, p):
     return la, lb
 
 
-def _solve_interior_bisect(v0, va, vb, la, lb, iters=_BISECT_ITERS):
-    """Nested-bisection fallback for rows the closed form leaves above tolerance.
-
-    Works in a (u, v) parameterisation: q(u) = slerp(va, vb, u),
-    p(u, v) = slerp(v0, q, v).  The inner bisection picks v so that the
-    two area fractions sum to la + lb (their sum grows monotonically along
-    the spoke from v0); the outer bisection moves the spoke direction u
-    until the fraction split matches, bracketed by the two triangle sides
-    where the split residual has opposite signs.  Slow; on the extreme
-    slivers it serves, its rounding can land inside the contract where the
-    closed form's does not.
-    """
-    total = _excess(v0, va, vb)
-    lab = la + lb
-
-    def split_residual(u):
-        q = _slerp(va, vb, u)
-        lo = np.zeros(len(u))
-        hi = np.ones(len(u))
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            p = _slerp(v0, q, mid)
-            fsum = (_excess(v0, va, p) + _excess(v0, p, vb)) / total
-            below = fsum < lab
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        p = _slerp(v0, q, 0.5 * (lo + hi))
-        return p, _excess(v0, va, p) / total - lb
-
-    lo = np.zeros(len(la))
-    hi = np.ones(len(la))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        _, r = split_residual(mid)
-        below = r < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    p, _ = split_residual(0.5 * (lo + hi))
-    return p
-
-
 def _lexell(a, b, s, h):
     """Lexell plane normal and excess gradient for apexes p over a -> b.
 
@@ -186,8 +145,8 @@ def _lexell(a, b, s, h):
     return normal, grad
 
 
-def _solve_interior(v0, va, vb, la, lb):
-    """Closed-form inverse for every target off the corners.
+def _meet(v0, va, vb, s, total, la, lb):
+    """Meeting point of the two Lexell planes, and both excess gradients.
 
     The points with area fraction lb over the base v0 -> va lie on one
     Lexell plane, and those with fraction la over vb -> v0 on another;
@@ -195,32 +154,27 @@ def _solve_interior(v0, va, vb, la, lb):
     common line meets the sphere: p = 2 (v0.w) / (w.w) w - v0 with w the
     cross product of the two normals.  A fraction of 0 turns its plane
     into the side's great circle, so side targets need no special case.
-    One Newton step in the tangent plane at p, with the analytic excess
-    gradients, removes the rounding the plane intersection suffers on
-    slivers.  Rows still above RESIDUAL_TOL, unless an input is not
-    finite, go to the nested bisection before the residual contract is
-    enforced.  Corners (..., 3) broadcast against fractions (...) to a
-    (..., 3) view of a (3, ...) result; given (1, F, 3) face corners and
-    (n, 1) node fractions, a face's own terms (excess, orientation, both
-    planes' a x b, a + b and 1 + a.b) are computed once, not n times.
     """
-    v0, va, vb = (np.moveaxis(v, -1, 0) for v in (v0, va, vb))
-    total = _excess(v0, va, vb)
-    s = np.sign(_dot(v0, _cross(va - v0, vb - v0)))
     nb, grad_b = _lexell(v0, va, s, 0.5 * lb * total)
     na, grad_a = _lexell(vb, v0, s, 0.5 * la * total)
     w = _cross(nb, na)
-    p = (2.0 * _dot(v0, w) / _dot(w, w)) * w - v0
+    return (2.0 * _dot(v0, w) / _dot(w, w)) * w - v0, grad_a, grad_b
 
-    def residual(p, v0, va, vb, s, total, la, lb):
+
+def _newton(p, grad_a, grad_b, v0, va, vb, s, total, la, lb):
+    """One Newton step in the tangent plane at p, with the analytic gradients.
+
+    Returns the new point and its residual in the frame (v0, va, vb; la, lb).
+    """
+
+    def residual(p):
         # signed, so a step from just across a side moves back; for
         # la, lb >= 0 the magnitudes bound area_coords' residuals
         ra = s * _signed_excess(v0, p, vb) / total - la
         rb = s * _signed_excess(v0, va, p) / total - lb
         return ra, rb
 
-    terms = (v0, va, vb, s, total, la, lb)
-    ra, rb = residual(p, *terms)
+    ra, rb = residual(p)
     ga, gb = (g - _dot(g, p) * p for g in (grad_a(p), grad_b(p)))
     aa, ab, bb = _dot(ga, ga), _dot(ga, gb), _dot(gb, gb)
     ea, eb = ra * total, rb * total
@@ -228,15 +182,59 @@ def _solve_interior(v0, va, vb, la, lb):
     x = (ab * eb - bb * ea) / det
     y = (ab * ea - aa * eb) / det
     p = _unit(p + x * ga + y * gb)
+    ra, rb = residual(p)
+    return p, np.maximum(np.abs(ra), np.abs(rb))
 
-    ra, rb = residual(p, *terms)
-    res = np.maximum(np.abs(ra), np.abs(rb))
-    finite = np.isfinite(v0 + va + vb).all(axis=0) & np.isfinite(la + lb)
-    idx = (...,) + np.nonzero(~(res <= RESIDUAL_TOL) & finite)
-    if res[idx].size:  # each of the terms on the rows to redo, v0 to lb
+
+def _lower(p, res, q, r):
+    """Row by row, the point of lower residual; a NaN residual loses."""
+    take = (r < res) | np.isnan(res)
+    return np.where(take, q, p), np.where(take, r, res)
+
+
+def _retry(v0, va, vb, s, total, la, lb, turn):
+    """Re-solve rows from the meeting point of the labelling turned ``turn`` times.
+
+    Turn 1 meets the planes of (va, vb, v0; lb, 1 - la - lb), turn 2 those
+    of (vb, v0, va; 1 - la - lb, la); s and the total area do not change.
+    On a sliver the residual is limited by rounding, not convergence, and
+    another labelling rounds differently.  Two Newton steps in the
+    original frame follow; each row keeps the step of lower residual.
+    """
+    lc = 1.0 - la - lb
+    turned = {1: (va, vb, v0, s, total, lb, lc), 2: (vb, v0, va, s, total, lc, la)}[turn]
+    p = _meet(*turned)[0]
+    terms = (v0, va, vb, s, total, la, lb)
+    grads = _meet(*terms)[1:]
+    p, res = _newton(p, *grads, *terms)
+    return _lower(p, res, *_newton(p, *grads, *terms))
+
+
+def _solve_interior(v0, va, vb, la, lb):
+    """Closed-form inverse for every target off the corners.
+
+    The Lexell-plane meeting point, then one Newton step, which removes
+    the rounding the plane intersection suffers on slivers.  Rows still
+    above RESIDUAL_TOL (non-finite ones included) are re-solved from the
+    other two vertex roles in turn, each keeping its lowest residual,
+    before the contract is enforced.  Corners (..., 3) broadcast against
+    fractions (...) to a (..., 3) view of a (3, ...) result; given
+    (1, F, 3) face corners and (n, 1) node fractions, a face's own terms
+    (excess, orientation, both planes' a x b, a + b and 1 + a.b) are
+    computed once, not n times.
+    """
+    v0, va, vb = (np.moveaxis(v, -1, 0) for v in (v0, va, vb))
+    total = _excess(v0, va, vb)
+    s = np.sign(_dot(v0, _cross(va - v0, vb - v0)))
+    terms = (v0, va, vb, s, total, la, lb)
+    p, res = _newton(*_meet(*terms), *terms)
+    for turn in (1, 2):
+        idx = (...,) + np.nonzero(~(res <= RESIDUAL_TOL))
+        if not res[idx].size:
+            break
+        # each of the terms on the rows to redo, v0 to lb
         rows = [np.broadcast_to(t, np.shape(t)[:-res.ndim] + res.shape)[idx] for t in terms]
-        p[idx] = _solve_interior_bisect(*rows[:3], *rows[5:])
-        res[idx] = np.maximum(*np.abs(residual(p[idx], *rows)))
+        p[idx], res[idx] = _lower(p[idx], res[idx], *_retry(*rows, turn))
     worst = float(res.max()) if res.size else 0.0
     if not worst <= RESIDUAL_TOL:
         raise SolverError(
@@ -263,8 +261,8 @@ def point_from_area_coords(v0, va, vb, la, lb):
     Corner targets return the corner exactly; every other target, on a
     side or inside, is the closed-form meeting point of two Lexell
     circles.  Raises SolverError (with the final residual) if a row
-    misses the contract even after the bisection fallback, and
-    GeometryError for degenerate input.
+    misses the contract even after the re-solves from the other two
+    vertex roles, and GeometryError for degenerate input.
     """
     scalar = np.ndim(la) == 0 and np.ndim(lb) == 0
     la = np.atleast_1d(np.asarray(la, dtype=np.float64))

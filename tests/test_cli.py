@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from spheregrid import (
 )
 from spheregrid.cli import main, read_config_csv, run_sweep, write_config_csv, write_obj
 from oracle import spiral_points
-from util import counting_qhull
+from util import child_env, counting_qhull
 
 
 def run_cli(*args):
@@ -31,11 +30,9 @@ def run_cli(*args):
 
 def run_module(*args):
     """``python -m spheregrid.cli`` in a child that imports this same package."""
-    src = str(Path(spheregrid.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "spheregrid.cli", *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=child_env(),
     )
 
 
@@ -45,8 +42,12 @@ def test_generate_csv_line_count(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 252
     assert "N=252" in capsys.readouterr().out
-    sidecar = json.loads((tmp_path / "cfg.csv.json").read_text())
-    assert sidecar["n"] == 252 and sidecar["base"] == "icosahedron"
+    sidecar = (tmp_path / "cfg.csv.json").read_bytes()
+    meta = json.loads(sidecar)
+    assert meta["n"] == 252 and meta["base"] == "icosahedron"
+    # the sidecar is what --format json prints for the same sequence
+    assert run_cli("generate", "--base", "icosa", "--seq", "5,0", "--format", "json") == 0
+    assert sidecar == capsys.readouterr().out.encode()
 
 
 def test_generate_to_stdout_keeps_data_clean(capsys):

@@ -1,15 +1,25 @@
 """Shared helpers for the test suite."""
 
+import os
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+import spheregrid
 import spheregrid.meshgen as meshgen
 from spheregrid import expected_cardinality, generate
 
 BASES = ["tetrahedron", "octahedron", "icosahedron"]
+
+
+def child_env():
+    """The environment of a child process that imports this same package."""
+    src = str(Path(spheregrid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def unit_rows(v):
