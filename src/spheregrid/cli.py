@@ -310,20 +310,19 @@ def _build_parser():
     return parser
 
 
+#: main's exit code per error class; a subclass takes its nearest listed base's
+_EXIT_CODES = {ParameterError: 2, DomainError: 2, GeometryError: 3, SolverError: 3,
+               ConsistencyError: 3, OSError: 4}
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, DomainError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GeometryError, SolverError, ConsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
 
 if __name__ == "__main__":

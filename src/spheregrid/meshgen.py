@@ -37,11 +37,11 @@ DEDUP_TOL = 1e-9
 #: interior solve batch size, bounds peak memory of the solver temporaries
 _CHUNK = 400_000
 
-#: faces or edges per batch of the hull certificate
+#: faces or edges per batch of the hull certificate and of the metrics' face scan
 _CERT_CHUNK = 65_536
 
-#: peak resident bytes per generated point, measured at N = 1,966,082
-_BYTES_PER_POINT = 560
+#: peak resident bytes per point of generate then evaluate, measured at N = 1,966,082
+_BYTES_PER_POINT = 462
 
 #: Shewchuk's static orient3d error bound, (7 + 56 eps) eps with eps = 2^-53
 _O3D_ERRBOUND = (7.0 + 56.0 * 2.0**-53) * 2.0**-53
@@ -548,7 +548,7 @@ def generate(base, pairs):
     are cocircular ties) is the next mesh, and the final one stays attached
     for metric evaluation.  Each pass checks its closed-form count, so the
     point count is 2 + (V0 - 2) * prod_k gamma(m_k, n_k); a count whose
-    560 B a point exceed physical memory raises ParameterError up front.
+    462 B a point exceed physical memory raises ParameterError up front.
     """
     name = canonical_base_name(base)
     pair_list = [validate_pair(p) for p in pairs]

@@ -8,6 +8,9 @@ Both extremes are read off the hull triangulation: nearest neighbours on
 the sphere are hull (Delaunay) neighbours, so the separation is the
 shortest hull face edge, and the covering radius is attained at a
 spherical Voronoi vertex, i.e. at a hull-facet circumcentre direction.
+Every measure reads one scan of the hull's faces, made in fixed-size
+chunks: it yields the shortest edge chord, the covering chord and each
+face's edge ratio together.
 """
 
 from dataclasses import dataclass
@@ -15,14 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, ParameterError
-from .meshgen import SphericalConfig, _corners
+from .meshgen import _CERT_CHUNK, SphericalConfig
 from .spherical import _cross, _dot, _norm
-
-#: facets with a cross-product norm below this use an explicit circumcentre solve
-_SLIVER_TOL = 1e-14
 
 #: histogram binning for per-face edge ratios
 EDGE_RATIO_BINS = 20
+
+#: the refusals of a face scan: a zero-length edge, a hull without the origin
+_ZERO_EDGE = "mesh has a degenerate face with a zero-length edge"
+_OUTSIDE = "points do not surround the origin; the covering radius is not read off their hull"
 
 
 @dataclass
@@ -62,10 +66,39 @@ def _as_config(config):
     return SphericalConfig(points=np.asarray(config, dtype=np.float64))
 
 
-def _edge_lengths(corners):
-    """(3, F) chord lengths of every face's edges ab, bc and ca."""
-    a, b, c = corners
-    return np.stack([_norm(a - b), _norm(b - c), _norm(c - a)])
+def _face_scan(mesh):
+    """One pass over a hull's faces in chunks of ``_CERT_CHUNK``.
+
+    Returns the shortest face-edge chord, the covering chord and the (F,)
+    per-face ratios of shortest to longest edge chord.  The covering chord
+    is the largest facet circumradius chord, each facet's circumcentre
+    direction being its outward unit normal; it is None when a facet plane
+    has the origin and the vertices' centroid on opposite sides, i.e. the
+    hull leaves the origin outside.  A line meets the sphere in at most two
+    points, so no facet of distinct sphere points has a zero normal.
+    """
+    xyz = np.ascontiguousarray(np.asarray(mesh.vertices, dtype=np.float64).T)
+    centroid = mesh.vertices.mean(axis=0)[:, None]
+    ratios = np.empty(mesh.n_faces)
+    shortest, cov2 = np.inf, 0.0
+    for k in range(0, mesh.n_faces, _CERT_CHUNK):
+        corners = a, b, c = [xyz.take(f, axis=1) for f in mesh.faces[k:k + _CERT_CHUNK].T]
+        ab, bc, ca = _norm(a - b), _norm(b - c), _norm(c - a)
+        low = np.minimum(np.minimum(ab, bc), ca)
+        shortest = min(shortest, low.min())
+        np.divide(low, np.maximum(np.maximum(ab, bc), ca), out=ratios[k:k + _CERT_CHUNK])
+        if cov2 is None:
+            continue
+        normals = _cross(b - a, c - a)
+        height = _dot(normals, a)
+        if np.any(height * (_dot(normals, centroid) - height) > 0.0):
+            cov2 = None
+            continue
+        dirs = np.divide(normals, _norm(normals), out=normals)
+        flip = _dot(dirs, a + b + c) < 0.0
+        dirs[:, flip] = -dirs[:, flip]
+        cov2 = max(cov2, *(_dot(dirs - x, dirs - x).max() for x in corners))
+    return float(shortest), None if cov2 is None else float(np.sqrt(cov2)), ratios
 
 
 def separation(config):
@@ -85,39 +118,7 @@ def separation(config):
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
         iu = np.triu_indices(len(pts), k=1)
         return float(np.sqrt(d2[iu].min()))
-    mesh = config.hull()
-    return float(_edge_lengths(_corners(mesh.vertices, mesh.faces)).min())
-
-
-def _covering(mesh, corners):
-    """The largest facet circumradius chord of a hull, from its corners.
-
-    Each facet's circumcentre direction is its outward unit normal.
-    Raises GeometryError if a facet plane has the origin and the vertices'
-    centroid on opposite sides, i.e. the hull leaves the origin outside.
-    """
-    a, b, c = corners
-    normals = _cross(b - a, c - a)
-    norms = _norm(normals)
-    sliver = norms < _SLIVER_TOL
-    if np.any(sliver):
-        # Near-degenerate facet: take the null direction of the edge matrix.
-        for k in np.nonzero(sliver)[0]:
-            rows = np.vstack([b[:, k] - a[:, k], c[:, k] - a[:, k]])
-            _, _, vt = np.linalg.svd(rows)
-            normals[:, k] = vt[-1]
-            norms[k] = 1.0
-    height = _dot(normals, a)
-    centroid = mesh.vertices.mean(axis=0)[:, None]
-    if np.any(height * (_dot(normals, centroid) - height) > 0.0):
-        raise GeometryError(
-            "points do not surround the origin; "
-            "the covering radius is not read off their hull"
-        )
-    dirs = np.divide(normals, norms, out=normals)
-    flip = _dot(dirs, a + b + c) < 0.0
-    dirs[:, flip] = -dirs[:, flip]
-    return float(np.sqrt(max(_dot(dirs - x, dirs - x).max() for x in corners)))
+    return _face_scan(config.hull())[0]
 
 
 def covering(config):
@@ -131,8 +132,10 @@ def covering(config):
     config = _as_config(config)
     if len(config.points) < 4:
         raise GeometryError("covering needs at least 4 points spanning 3-d")
-    mesh = config.hull()
-    return _covering(mesh, _corners(mesh.vertices, mesh.faces))
+    cov = _face_scan(config.hull())[1]
+    if cov is None:
+        raise GeometryError(_OUTSIDE)
+    return cov
 
 
 def mesh_ratio(config):
@@ -146,26 +149,21 @@ def edge_ratios(mesh):
 
     Equals 1 exactly for an equilateral face.
     """
-    return _face_ratios(_edge_lengths(_corners(mesh.vertices, mesh.faces)))
-
-
-def _face_ratios(lengths):
-    """Per-face min/max ratio of a (3, F) edge-chord array."""
-    if np.any(lengths <= 0.0):
-        raise GeometryError("mesh has a degenerate face with a zero-length edge")
-    return lengths.min(axis=0) / lengths.max(axis=0)
+    shortest, _, ratios = _face_scan(mesh)
+    if shortest <= 0.0:
+        raise GeometryError(_ZERO_EDGE)
+    return ratios
 
 
 def evaluate(config, base=None, seq=None):
-    """The full MetricsReport; the face corners and edge chords are built once."""
+    """The full MetricsReport, from one scan of the hull's faces."""
     config = _as_config(config)
-    mesh = config.hull()
-    corners = _corners(mesh.vertices, mesh.faces)
-    lengths = _edge_lengths(corners)
-    ratios = _face_ratios(lengths)
+    sep, cov, ratios = _face_scan(config.hull())
+    if sep <= 0.0:
+        raise GeometryError(_ZERO_EDGE)
+    if cov is None:
+        raise GeometryError(_OUTSIDE)
     hist, _ = np.histogram(ratios, bins=EDGE_RATIO_BINS, range=(0.0, 1.0))
-    sep = float(lengths.min())
-    cov = _covering(mesh, corners)
     return MetricsReport(
         n=config.n,
         separation=sep,

@@ -269,6 +269,22 @@ def test_broken_mesh_is_refused(check, breakage):
         check(breakage(base_polyhedron("octahedron")))
 
 
+def test_edge_of_zero_length_is_refused_with_a_typed_error():
+    # A copy of vertex 0 splits its first face: the edge from vertex 0 to
+    # its copy has length 0, and _slerp's small-angle branch keeps its
+    # midpoint finite, so the pass fails with GeometryError, not with
+    # qhull's error on NaN input.
+    tet = base_polyhedron("tetrahedron")
+    (a, b, c), *others = tet.faces.tolist()
+    assert a == 0
+    mesh = TriangleMesh(
+        vertices=np.vstack([tet.vertices, tet.vertices[:1]]),
+        faces=np.array(others + [[a, b, 4], [b, c, 4], [c, a, 4]]),
+    )
+    with pytest.raises(GeometryError):
+        subdivide_mesh(mesh, (2, 0))
+
+
 def test_hull_faces_start_at_their_smallest_index():
     rng = np.random.default_rng(3)
     for points in (generate("icosahedron", [(4, 1)]).points,

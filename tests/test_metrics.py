@@ -55,6 +55,13 @@ def test_separation_ignores_face_orientation_on_a_cap():
     with pytest.raises(GeometryError):
         validate_mesh(cap.hull())
     assert separation(cap) == brute_separation(cap.points)
+    # edge_ratios reads the cap's faces; every measure with a covering refuses it
+    ratios = edge_ratios(cap.hull())
+    assert len(ratios) == cap.hull().n_faces
+    assert np.all(ratios > 0.0) and np.all(ratios <= 1.0)
+    for measure in (covering, mesh_ratio, evaluate):
+        with pytest.raises(GeometryError):
+            measure(cap)
 
 
 def test_covering_tetrahedron_analytic():
@@ -87,8 +94,15 @@ def test_covering_refuses_points_that_do_not_surround_the_origin():
 
 def test_covering_dominates_sampled_estimate():
     rng = np.random.default_rng(32)
-    for _ in range(4):
-        cfg = random_config(rng, n_max=800)
+    # Three points 1e-8 apart make a hull facet whose edge cross product
+    # has norm ~7e-17; its normal, divided by that norm, still points at
+    # the facet's circumcentre.
+    p = np.array([0.3, 0.4, 0.5]) / np.linalg.norm([0.3, 0.4, 0.5])
+    tri = unit_rows(np.array([p, p + [1e-8, 0, 0], p + [0, 1e-8, 0]]))
+    sliver = SphericalConfig(points=np.vstack([spiral_points(200), tri]))
+    a, b, c = sliver.hull().vertices[sliver.hull().faces].transpose(1, 0, 2)
+    assert np.linalg.norm(np.cross(b - a, c - a), axis=1).min() < 1e-16
+    for cfg in [random_config(rng, n_max=800) for _ in range(4)] + [sliver]:
         exact = covering(cfg)
         sampled = sampled_covering(cfg.points, probes=50_000)
         assert sampled <= exact + 1e-12
@@ -172,12 +186,12 @@ def test_evaluate_builds_the_face_edge_chords_once(monkeypatch):
     cfg = generate("icosahedron", [(3, 1)])
     expected = evaluate(cfg)
     calls = []
-    edge_lengths = metrics._edge_lengths
+    face_scan = metrics._face_scan
 
     def counted(mesh):
         calls.append(mesh)
-        return edge_lengths(mesh)
+        return face_scan(mesh)
 
-    monkeypatch.setattr(metrics, "_edge_lengths", counted)
+    monkeypatch.setattr(metrics, "_face_scan", counted)
     assert evaluate(cfg) == expected
     assert len(calls) == 1
