@@ -145,14 +145,18 @@ def _export_text(cfg, fmt, seq, report=None):
     return buf.getvalue()
 
 
+def _write_export(cfg, fmt, seq, out_path, report=None):
+    """The configuration as ``fmt`` text, plus a ``.json`` sidecar beside a csv or obj file."""
+    _write_output(_export_text(cfg, fmt, seq, report), out_path)
+    if out_path is not None and fmt in ("csv", "obj"):
+        _write_output(_export_text(cfg, "json", seq, report), out_path + ".json")
+
+
 def cmd_generate(args):
     pairs = parse_sequence(args.seq)
     cfg = generate(args.base, pairs)
     seq = format_sequence(pairs)
-    text = _export_text(cfg, args.format, seq)
-    _write_output(text, args.out)
-    if args.out is not None and args.format in ("csv", "obj"):
-        _write_output(_export_text(cfg, "json", seq), args.out + ".json")
+    _write_export(cfg, args.format, seq, args.out)
     info = f"N={cfg.n} base={cfg.base} seq={seq}"
     # Keep the data stream clean when it goes to stdout.
     print(info, file=sys.stderr if args.out is None else sys.stdout)
@@ -190,8 +194,7 @@ def cmd_metrics(args):
     record = _metrics_csv(report)
     print(record, end="")
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(record)
+        _write_output(record, args.out)
     return 0
 
 
@@ -264,10 +267,7 @@ def cmd_sweep(args):
 def cmd_export(args):
     cfg = SphericalConfig(points=read_config_csv(args.infile))
     report = evaluate(cfg) if args.format == "json" else None
-    text = _export_text(cfg, args.format, None, report)
-    _write_output(text, args.out)
-    if args.out is not None and args.format in ("csv", "obj"):
-        _write_output(_export_text(cfg, "json", None, report), args.out + ".json")
+    _write_export(cfg, args.format, None, args.out, report)
     return 0
 
 

@@ -453,7 +453,7 @@ def _is_hull(points, faces, known=()):
     return abs(turn - 4.0 * np.pi) < 2.0 * np.pi
 
 
-def subdivide_mesh(mesh, pair, base=None):
+def subdivide_mesh(mesh, pair):
     """One grid-refinement pass over every face of a closed, oriented mesh.
 
     Nodes shared between faces are produced exactly once, so the fusion of
@@ -537,7 +537,7 @@ def subdivide_mesh(mesh, pair, base=None):
                 f"subdivision produced points within {DEDUP_TOL:g} of each other "
                 f"for pair ({m},{n}) on a {n_vertices}-vertex mesh"
             )
-    return SphericalConfig(points=hull.vertices, base=base, pairs=((m, n),), mesh=hull)
+    return SphericalConfig(points=hull.vertices, pairs=((m, n),), mesh=hull)
 
 
 def generate(base, pairs):
@@ -564,7 +564,7 @@ def generate(base, pairs):
         )
     mesh = base_polyhedron(name)
     for pair in pair_list:
-        mesh = subdivide_mesh(mesh, pair, base=name).mesh
+        mesh = subdivide_mesh(mesh, pair).mesh
     return SphericalConfig(
         points=mesh.vertices, base=name, pairs=tuple(pair_list), mesh=mesh
     )

@@ -129,19 +129,18 @@ def covering(config):
     circumcentre directions (the spherical Voronoi vertices), so the
     result is the largest facet circumradius chord.
     """
-    config = _as_config(config)
-    if len(config.points) < 4:
-        raise GeometryError("covering needs at least 4 points spanning 3-d")
-    cov = _face_scan(config.hull())[1]
+    cov = _face_scan(_as_config(config).hull())[1]
     if cov is None:
         raise GeometryError(_OUTSIDE)
     return cov
 
 
 def mesh_ratio(config):
-    """covering / separation; lower is better."""
-    config = _as_config(config)
-    return covering(config) / separation(config)
+    """covering / separation, from one scan of the hull's faces; lower is better."""
+    sep, cov, _ = _face_scan(_as_config(config).hull())
+    if cov is None:
+        raise GeometryError(_OUTSIDE)
+    return cov / sep
 
 
 def edge_ratios(mesh):
@@ -155,7 +154,7 @@ def edge_ratios(mesh):
     return ratios
 
 
-def evaluate(config, base=None, seq=None):
+def evaluate(config, seq=None):
     """The full MetricsReport, from one scan of the hull's faces."""
     config = _as_config(config)
     sep, cov, ratios = _face_scan(config.hull())
@@ -172,6 +171,6 @@ def evaluate(config, base=None, seq=None):
         edge_ratio_min=float(ratios.min()),
         edge_ratio_mean=float(ratios.mean()),
         edge_ratio_hist=tuple(int(h) for h in hist),
-        base=base if base is not None else config.base,
+        base=config.base,
         seq=seq,
     )

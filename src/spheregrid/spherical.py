@@ -12,7 +12,7 @@ Lexell's theorem the apexes of equal area over a fixed base lie on one
 circle through the antipodes of the base's ends, and the two circles
 fixed by the fractions meet at -v0 and at p.  Where rounding leaves a
 sliver's row above tolerance, the same closed form is started again
-from the other two vertex roles.
+from each of the three vertex labellings in turn.
 """
 
 import numpy as np
@@ -21,6 +21,9 @@ from .errors import DomainError, GeometryError, SolverError
 
 #: residual tolerance (in area-fraction units) guaranteed by the solvers
 RESIDUAL_TOL = 1e-12
+
+#: Newton steps of a re-solve from each vertex labelling's meeting point
+_RESOLVE_STEPS = 4
 
 
 def _dot(a, b):
@@ -192,49 +195,42 @@ def _lower(p, res, q, r):
     return np.where(take, q, p), np.where(take, r, res)
 
 
-def _retry(v0, va, vb, s, total, la, lb, turn):
-    """Re-solve rows from the meeting point of the labelling turned ``turn`` times.
-
-    Turn 1 meets the planes of (va, vb, v0; lb, 1 - la - lb), turn 2 those
-    of (vb, v0, va; 1 - la - lb, la); s and the total area do not change.
-    On a sliver the residual is limited by rounding, not convergence, and
-    another labelling rounds differently.  Two Newton steps in the
-    original frame follow; each row keeps the step of lower residual.
-    """
-    lc = 1.0 - la - lb
-    turned = {1: (va, vb, v0, s, total, lb, lc), 2: (vb, v0, va, s, total, lc, la)}[turn]
-    p = _meet(*turned)[0]
-    terms = (v0, va, vb, s, total, la, lb)
-    grads = _meet(*terms)[1:]
-    p, res = _newton(p, *grads, *terms)
-    return _lower(p, res, *_newton(p, *grads, *terms))
-
-
 def _solve_interior(v0, va, vb, la, lb):
     """Closed-form inverse for every target off the corners.
 
     The Lexell-plane meeting point, then one Newton step, which removes
     the rounding the plane intersection suffers on slivers.  Rows still
-    above RESIDUAL_TOL (non-finite ones included) are re-solved from the
-    other two vertex roles in turn, each keeping its lowest residual,
-    before the contract is enforced.  Corners (..., 3) broadcast against
-    fractions (...) to a (..., 3) view of a (3, ...) result; given
-    (1, F, 3) face corners and (n, 1) node fractions, a face's own terms
-    (excess, orientation, both planes' a x b, a + b and 1 + a.b) are
-    computed once, not n times.
+    above RESIDUAL_TOL (non-finite ones included) are re-solved from each
+    vertex labelling in turn, (v0, va, vb; la, lb), (va, vb, v0; lb, lc)
+    and (vb, v0, va; lc, la) with lc = 1 - la - lb: its meeting point,
+    then _RESOLVE_STEPS Newton steps in the original frame, each row
+    keeping its lowest residual (on a sliver the residual is limited by
+    rounding, and each labelling rounds differently).  Corners (..., 3)
+    broadcast against fractions (...) to a (..., 3) view of a (3, ...)
+    result; given (1, F, 3) face corners and (n, 1) node fractions, a
+    face's own terms (excess, orientation, both planes' a x b, a + b and
+    1 + a.b) are computed once, not n times.
     """
     v0, va, vb = (np.moveaxis(v, -1, 0) for v in (v0, va, vb))
     total = _excess(v0, va, vb)
     s = np.sign(_dot(v0, _cross(va - v0, vb - v0)))
     terms = (v0, va, vb, s, total, la, lb)
     p, res = _newton(*_meet(*terms), *terms)
-    for turn in (1, 2):
+    for turn in range(3):
         idx = (...,) + np.nonzero(~(res <= RESIDUAL_TOL))
         if not res[idx].size:
             break
         # each of the terms on the rows to redo, v0 to lb
         rows = [np.broadcast_to(t, np.shape(t)[:-res.ndim] + res.shape)[idx] for t in terms]
-        p[idx], res[idx] = _lower(p[idx], res[idx], *_retry(*rows, turn))
+        q, *grads = _meet(*rows)
+        if turn:  # s and the total area do not change under the cyclic turn
+            v, f = rows[:3], (*rows[5:], 1.0 - rows[5] - rows[6])
+            q = _meet(v[turn], v[turn - 2], v[turn - 1], *rows[3:5], f[turn], f[turn - 2])[0]
+        best = p[idx], res[idx]
+        for _ in range(_RESOLVE_STEPS):
+            q, r = _newton(q, *grads, *rows)
+            best = _lower(*best, q, r)
+        p[idx], res[idx] = best
     worst = float(res.max()) if res.size else 0.0
     if not worst <= RESIDUAL_TOL:
         raise SolverError(
@@ -261,8 +257,8 @@ def point_from_area_coords(v0, va, vb, la, lb):
     Corner targets return the corner exactly; every other target, on a
     side or inside, is the closed-form meeting point of two Lexell
     circles.  Raises SolverError (with the final residual) if a row
-    misses the contract even after the re-solves from the other two
-    vertex roles, and GeometryError for degenerate input.
+    misses the contract even after the re-solves from all three vertex
+    labellings, and GeometryError for degenerate input.
     """
     scalar = np.ndim(la) == 0 and np.ndim(lb) == 0
     la = np.atleast_1d(np.asarray(la, dtype=np.float64))
