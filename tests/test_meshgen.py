@@ -1,3 +1,5 @@
+import sys
+import threading
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -5,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
+from scipy.spatial.transform import Rotation
 
 import spheregrid.meshgen as meshgen
 from spheregrid import (
@@ -456,8 +460,6 @@ def test_hull_certificate_leaves_cocircular_ties_to_qhull(seed):
     # each square facet's diagonal has four cocircular points; turned by
     # the seed-17 rotation, every tie rounds to the convex side, so only
     # the error bound refuses it
-    from scipy.spatial.transform import Rotation
-
     v = cuboctahedron()
     if seed is not None:
         v = v @ Rotation.random(random_state=seed).as_matrix().T
@@ -476,9 +478,6 @@ def test_canonical_order_is_stable_under_last_bit_noise():
 def test_hull_faces_do_not_depend_on_qhull_outer_plane_pass(monkeypatch):
     # "Q5" skips qhull's check of the outer planes; the reference hull is
     # built with scipy's default options
-    from scipy.spatial import ConvexHull
-    from scipy.spatial.transform import Rotation
-
     rotation = Rotation.random(random_state=17).as_matrix()
     inputs = [
         cuboctahedron(),
@@ -516,6 +515,149 @@ def test_two_component_mesh_violates_euler():
         with pytest.raises(GeometryError, match="Euler"):
             check(twice)
     assert not meshgen._is_hull(twice.vertices, twice.faces)
+
+
+def whole_set_faces(points):
+    """The reference hull: one qhull run over every point."""
+    simplices = ConvexHull(points, qhull_options="Q5").simplices.astype(np.int64)
+    return meshgen._canonical_faces(meshgen._orient_outward(points, simplices))
+
+
+def whole_set_outcome(points):
+    """``convex_hull_triangulation`` with the lunes gated off: its faces, or
+    its error message."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshgen, "_LUNE_GATE", len(points) + 1)
+        try:
+            return convex_hull_triangulation(points).faces
+        except GeometryError as exc:
+            return str(exc)
+
+
+def uniform_points(n, seed):
+    return unit_rows(np.random.default_rng(seed).normal(size=(n, 3)))
+
+
+def turned_icosa_64():
+    rotation = Rotation.random(random_state=11).as_matrix()
+    points = generate("icosahedron", [(64, 0)]).points @ rotation.T
+    return points[np.random.default_rng(11).permutation(len(points))]
+
+
+def lat_lon_grid():
+    # 127 rings of 130 points and the poles: every quad is cocircular
+    colat, lon = np.meshgrid(np.arange(1, 128) * np.pi / 128, np.arange(130) * np.pi / 65)
+    rings = np.column_stack([(np.sin(colat) * np.cos(lon)).ravel(),
+                             (np.sin(colat) * np.sin(lon)).ravel(), np.cos(colat).ravel()])
+    return np.vstack([[0.0, 0.0, 1.0], rings, [0.0, 0.0, -1.0]])
+
+
+def uniform_20k():
+    return uniform_points(20_000, 5)
+
+
+def upper_hemisphere():
+    points = uniform_points(40_000, 5)
+    return points[points[:, 2] > 0.0]
+
+
+def with_inner_point():
+    return np.vstack([uniform_20k(), [0.1, 0.0, 0.0]])
+
+
+def with_near_duplicate():
+    points = uniform_20k()
+    tangent = unit_rows(np.cross(points[0], [0.6, 0.0, 0.8]))
+    return np.vstack([points, points[0] + 1e-11 * tangent])
+
+
+def narrow_band():
+    # longitudes 0 to 0.3 away from the poles: most lunes stay empty
+    rng = np.random.default_rng(5)
+    lon, z = rng.uniform(0.0, 0.3, 20_000), rng.uniform(-0.9, 0.9, 20_000)
+    r = np.sqrt(1.0 - z * z)
+    return np.column_stack([r * np.cos(lon), r * np.sin(lon), z])
+
+
+def equator():
+    # every lune is flat, so qhull fails on it as on the whole set
+    t = np.arange(20_000) * (2.0 * np.pi / 20_000)
+    return np.column_stack([np.cos(t), np.sin(t), 0.0 * t])
+
+
+@pytest.mark.parametrize("make", [turned_icosa_64, uniform_20k])
+def test_lune_hull_equals_the_whole_set_hull(make):
+    points = make()
+    with counting_qhull() as calls:
+        faces = convex_hull_triangulation(points).faces
+    assert len(calls) == meshgen._LUNES and max(calls) < len(points)
+    assert np.array_equal(faces, whole_set_faces(points))
+
+
+def test_refused_lattice_pass_is_hulled_in_lunes():
+    with counting_qhull() as calls:
+        cfg = generate("tetrahedron", [(200, 0)])
+    assert len(calls) == meshgen._LUNES and max(calls) < cfg.n
+    assert np.array_equal(cfg.mesh.faces, whole_set_faces(cfg.points))
+
+
+@pytest.mark.parametrize(
+    "make,lune_calls,message",
+    [
+        (lat_lon_grid, [8], None),
+        (upper_hemisphere, [8], None),
+        (with_inner_point, [8], "hull dropped 1 of them"),
+        (with_near_duplicate, [8], None),
+        (narrow_band, [0], None),
+        (equator, range(1, 9), "convex hull failed"),
+    ],
+)
+def test_refused_lunes_fall_back_to_the_whole_set(make, lune_calls, message):
+    # the certificate refuses ties, a hull that leaves the lunes' union
+    # open, a point it leaves unused and an edge shorter than DEDUP_TOL; a
+    # lune of fewer than 4 points is refused before qhull runs, and a qhull
+    # error cancels the lunes not yet started
+    points = make()
+    assert len(points) >= meshgen._LUNE_GATE
+    with counting_qhull() as calls:
+        try:
+            got = convex_hull_triangulation(points).faces
+        except GeometryError as exc:
+            got = str(exc)
+    assert len(calls) - 1 in lune_calls
+    assert calls[-1] == len(points) and all(n < len(points) for n in calls[:-1])
+    want = whole_set_outcome(points)
+    if message is not None:
+        assert message in want
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_concurrent_hulls_equal_the_serial_ones():
+    inputs = [uniform_points(20_000, 6), turned_icosa_64()]
+    serial = [convex_hull_triangulation(points).faces for points in inputs]
+    got = [None] * len(inputs)
+    start = threading.Barrier(len(inputs), timeout=60)
+
+    def hull(k):
+        start.wait()
+        got[k] = convex_hull_triangulation(inputs[k]).faces
+
+    threads = [threading.Thread(target=hull, args=(k,)) for k in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for faces, want in zip(got, serial):
+        assert np.array_equal(faces, want)
 
 
 def lexsort_order(points):
