@@ -73,20 +73,18 @@ def write_config_csv(points, stream):
 def read_config_csv(path):
     """Load a configuration written by write_config_csv.
 
-    numpy parses the file or, if it refuses (a whitespace-only line), its
-    non-blank lines; a file still refused (a bad line, no rows) is read
-    line by line, which names the first bad line.
+    numpy parses the file in one call.  A file it refuses (a whitespace-only
+    or bad line, no rows) is read line by line, which skips blank lines,
+    parses each field with ``float`` to the same bits and names the first
+    bad line.
     """
-    pts = np.empty((0, 0))
-    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the line reader reports no rows
-        for source in (path, (line for line in fh if not line.isspace())):
-            try:
-                pts = np.loadtxt(source, delimiter=",", comments=None, ndmin=2,
-                                 dtype=np.float64, encoding="utf-8")
-                break
-            except ValueError:
-                pass
+        try:
+            pts = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                             dtype=np.float64, encoding="utf-8")
+        except ValueError:
+            pts = np.empty((0, 0))
     if pts.shape[1:] != (3,) or len(pts) == 0:
         rows = []
         with open(path, "r", encoding="utf-8") as fh:
@@ -137,11 +135,9 @@ def _export_text(cfg, fmt, seq, report=None):
         write_config_csv(cfg.points, buf)
     elif fmt == "obj":
         write_obj(cfg.points, cfg.hull().faces, buf)
-    elif fmt == "json":
+    else:
         json.dump(_metadata(cfg.n, cfg.base, seq, report), buf, indent=2)
         buf.write("\n")
-    else:
-        raise ParameterError(f"unknown format {fmt!r}")
     return buf.getvalue()
 
 
@@ -199,12 +195,10 @@ def cmd_metrics(args):
 
 
 def _sweep_instance(task):
-    base, family_text, l = task
-    family = parse_family(family_text)
+    base, family_text, l, pairs = task
     row = dict.fromkeys(SWEEP_COLUMNS, "")
-    row.update(family=family.text, l=l, _sort=-1)
+    row.update(family=family_text, l=l, _sort=-1)
     try:
-        pairs = family.instantiate(l)
         start = time.perf_counter()
         cfg = generate(base, pairs)
         report = evaluate(cfg)
@@ -236,7 +230,7 @@ def run_sweep(base, family_text, l_min, l_max, n_cap=10**6, jobs=1):
             continue
         if expected_cardinality(base, pairs) > n_cap:
             continue
-        tasks.append((base, family.text, l))
+        tasks.append((base, family.text, l, pairs))
     if jobs > 1 and len(tasks) > 1:
         with Pool(processes=jobs) as pool:
             rows = pool.map(_sweep_instance, tasks)

@@ -10,10 +10,7 @@ the step can be applied repeatedly with a sequence of integer pairs.  Every
 pass returns that hull: the faces' Caspar-Klug lattice triangles (the
 Goldberg-Coxeter construction) once a certificate accepts them, else
 qhull's hull.  The certificate sorts only the half-edges on or across a
-parent edge; the lattice template pairs the rest.  qhull's hull of 16,384
-or more points is pieced from eight overlapping longitude lunes, hulled
-on two threads, and the same certificate proves the union; on refusal
-qhull hulls the whole set.
+parent edge; the lattice template pairs the rest.
 """
 
 import concurrent.futures
@@ -32,7 +29,7 @@ from .lattice import (
     validate_pair,
 )
 from .spherical import (
-    _cross, _dot, _norm, _signed_excess, _slerp, _solve_interior, project_to_sphere,
+    _dot, _norm, _signed_excess, _slerp, _solve_interior, project_to_sphere,
 )
 
 #: two generated points closer than this are treated as duplicates
@@ -143,15 +140,9 @@ def _corners(vertices, faces):
     return [xyz.take(f, axis=1) for f in np.asarray(faces).T]
 
 
-def _facing(vertices, faces):
-    """((b - a) x (c - a)) . (a + b + c) per face: > 0 when it faces outward."""
-    a, b, c = _corners(vertices, faces)
-    return _dot(_cross(b - a, c - a), a + b + c)
-
-
 def _orient_outward(vertices, faces):
     """Flip faces whose normal points toward the origin; returns faces."""
-    inward = _facing(vertices, faces) < 0.0
+    inward = _signed_excess(*_corners(vertices, faces)) < 0.0
     faces = faces.copy()
     faces[inward] = faces[inward][:, [0, 2, 1]]
     return faces
@@ -258,7 +249,7 @@ def validate_mesh(mesh, sphere_tol=1e-12):
     if not np.all(np.abs(_norm(v.T) - 1.0) <= sphere_tol):
         raise GeometryError("mesh vertices are not on the unit sphere")
     _half_edges(f, len(v))
-    if np.any(_facing(v, f) <= 0.0):
+    if np.any(_signed_excess(*_corners(v, f)) <= 0.0):
         raise GeometryError("mesh has inward-facing faces")
 
 
@@ -283,9 +274,10 @@ def _lune_hull(points):
     _LUNES, or less than max(_LUNE_OVERLAP, _LUNE_REACH / sqrt(N)) beyond
     one of them.  It keeps the faces of its qhull hull whose centroid's
     atan2 falls in its sector; a face of two lunes, rolled to its smallest
-    index, has the same bits in both, so exactly one keeps it.  None when
-    a lune has fewer than 4 points, qhull fails on one, or ``_is_hull``
-    refuses the union.
+    index, has the same bits in both, so exactly one keeps it.  A union
+    that ``_is_hull`` certifies has every edge strictly convex, so it is
+    the unique hull.  None when a lune has fewer than 4 points, qhull fails
+    on one, or ``_is_hull`` refuses the union.
     """
     x, y = points[:, 0], points[:, 1]
     reach = max(_LUNE_OVERLAP, _LUNE_REACH / math.sqrt(len(points)))
@@ -336,15 +328,9 @@ def convex_hull_triangulation(points):
     deterministically for a fixed input ordering.  Every input point must
     be a hull vertex, which holds for any point set on the sphere without
     duplicates.  qhull runs with Q5: no output reads its outer planes.
-
-    From _LUNE_GATE (16,384) points on, qhull first hulls _LUNES (8)
-    longitude lunes, each reaching max(0.05, 12 / sqrt(N)) past its
-    sector, on _LUNE_THREADS (2) threads, or one on a single CPU
-    (``_lune_hull``).  If ``_is_hull`` certifies their union, whose every
-    edge is then strictly convex, that union is the unique hull and is
-    returned.  On any refusal (a lune with fewer than 4 points, a qhull
-    error on one, or the certificate's verdict) qhull hulls the whole set
-    as below, so faces and errors are the same either way.
+    From _LUNE_GATE points on it first hulls longitude lunes
+    (``_lune_hull``); if they are refused, it hulls the whole set, so faces
+    and errors are the same either way.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3 or len(points) < 4:

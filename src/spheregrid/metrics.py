@@ -75,7 +75,8 @@ def _face_scan(mesh):
     direction being its outward unit normal; it is None when a facet plane
     has the origin and the vertices' centroid on opposite sides, i.e. the
     hull leaves the origin outside.  A line meets the sphere in at most two
-    points, so no facet of distinct sphere points has a zero normal.
+    points, so no facet of distinct sphere points has a zero normal; a face
+    with a zero-length edge raises GeometryError.
     """
     xyz = np.ascontiguousarray(np.asarray(mesh.vertices, dtype=np.float64).T)
     centroid = mesh.vertices.mean(axis=0)[:, None]
@@ -86,6 +87,8 @@ def _face_scan(mesh):
         ab, bc, ca = _norm(a - b), _norm(b - c), _norm(c - a)
         low = np.minimum(np.minimum(ab, bc), ca)
         shortest = min(shortest, low.min())
+        if shortest <= 0.0:  # before its zero normal is divided
+            raise GeometryError(_ZERO_EDGE)
         np.divide(low, np.maximum(np.maximum(ab, bc), ca), out=ratios[k:k + _CERT_CHUNK])
         if cov2 is None:
             continue
@@ -148,18 +151,13 @@ def edge_ratios(mesh):
 
     Equals 1 exactly for an equilateral face.
     """
-    shortest, _, ratios = _face_scan(mesh)
-    if shortest <= 0.0:
-        raise GeometryError(_ZERO_EDGE)
-    return ratios
+    return _face_scan(mesh)[2]
 
 
 def evaluate(config, seq=None):
     """The full MetricsReport, from one scan of the hull's faces."""
     config = _as_config(config)
     sep, cov, ratios = _face_scan(config.hull())
-    if sep <= 0.0:
-        raise GeometryError(_ZERO_EDGE)
     if cov is None:
         raise GeometryError(_OUTSIDE)
     hist, _ = np.histogram(ratios, bins=EDGE_RATIO_BINS, range=(0.0, 1.0))

@@ -6,6 +6,7 @@ A family is the same grammar with the letter ``l`` standing for one free
 integer parameter, e.g. ``l,0`` or ``1,1;(4,0)^l``.
 """
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -47,33 +48,30 @@ def _parse_tokens(text, allow_l):
     return entries
 
 
-def parse_sequence(text):
-    """Parse a concrete sequence string into a tuple of validated pairs."""
+def _expand(entries, l=None):
+    """The validated pairs of parsed entries, the letter 'l' read as ``l``."""
     pairs = []
-    for m, n, k, i, token in _parse_tokens(text, allow_l=False):
+    for m, n, k, i, token in entries:
+        m, n, k = (l if v == "l" else int(v) for v in (m, n, k))
         try:
-            pair = validate_pair((int(m), int(n)))
+            pair = validate_pair((m, n))
         except ParameterError as exc:
             raise SequenceParseError(f"at position {i} ({token!r}): {exc}") from None
-        pairs.extend([pair] * int(k))
+        pairs.extend([pair] * k)
     return tuple(pairs)
+
+
+def parse_sequence(text):
+    """Parse a concrete sequence string into a tuple of validated pairs."""
+    return _expand(_parse_tokens(text, allow_l=False))
 
 
 def format_sequence(pairs):
     """Canonical string for a sequence; runs of equal pairs use ``^k``."""
-    pairs = [validate_pair(p) for p in pairs]
     out = []
-    i = 0
-    while i < len(pairs):
-        j = i
-        while j < len(pairs) and pairs[j] == pairs[i]:
-            j += 1
-        m, n = pairs[i]
-        if j - i >= 2:
-            out.append(f"({m},{n})^{j - i}")
-        else:
-            out.append(f"{m},{n}")
-        i = j
+    for (m, n), run in itertools.groupby(validate_pair(p) for p in pairs):
+        k = len(list(run))
+        out.append(f"({m},{n})^{k}" if k >= 2 else f"{m},{n}")
     return ";".join(out)
 
 
@@ -88,19 +86,7 @@ class Family:
         """Concrete pair sequence for a given l; validates every pair."""
         if l < 1:
             raise ParameterError(f"family parameter l must be >= 1, got {l}")
-        pairs = []
-        for m, n, k, i, token in self.entries:
-            mv = l if m == "l" else int(m)
-            nv = l if n == "l" else int(n)
-            kv = l if k == "l" else int(k)
-            try:
-                pair = validate_pair((mv, nv))
-            except ParameterError as exc:
-                raise ParameterError(
-                    f"family {self.text!r} invalid at l={l}: {exc}"
-                ) from None
-            pairs.extend([pair] * kv)
-        return tuple(pairs)
+        return _expand(self.entries, l)
 
 
 def parse_family(text):

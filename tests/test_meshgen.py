@@ -25,7 +25,10 @@ from spheregrid import (
     validate_mesh,
 )
 from spheregrid.cli import main
-from util import BASES, counting_qhull, random_sequence, unit_rows
+from oracle import spiral_points
+from util import (
+    BASES, copied_vertex_tetrahedron, counting_qhull, random_sequence, unit_rows,
+)
 
 
 def count_edges(faces, n_vertices):
@@ -274,19 +277,36 @@ def test_broken_mesh_is_refused(check, breakage):
 
 
 def test_edge_of_zero_length_is_refused_with_a_typed_error():
-    # A copy of vertex 0 splits its first face: the edge from vertex 0 to
-    # its copy has length 0, and _slerp's small-angle branch keeps its
-    # midpoint finite, so the pass fails with GeometryError, not with
-    # qhull's error on NaN input.
-    tet = base_polyhedron("tetrahedron")
-    (a, b, c), *others = tet.faces.tolist()
-    assert a == 0
-    mesh = TriangleMesh(
-        vertices=np.vstack([tet.vertices, tet.vertices[:1]]),
-        faces=np.array(others + [[a, b, 4], [b, c, 4], [c, a, 4]]),
-    )
+    # _slerp's small-angle branch keeps the zero-length edge's midpoint
+    # finite, so the pass fails with GeometryError, not with qhull's error
+    # on NaN input.
     with pytest.raises(GeometryError):
-        subdivide_mesh(mesh, (2, 0))
+        subdivide_mesh(copied_vertex_tetrahedron(), (2, 0))
+
+
+def test_cap_hull_oriented_away_from_its_centroid_is_not_outward(monkeypatch):
+    # qhull's hull of a spherical cap, every face oriented away from the
+    # cap's vertex centroid, is closed, consistently oriented and convex at
+    # every edge, but the faces of its flat base wind clockwise seen from
+    # the origin: the outward clause is what refuses it.
+    probes = spiral_points(3200)
+    cap = probes[probes[:, 2] > 0.5]
+    faces = ConvexHull(cap).simplices.astype(np.int64)
+    a, b, c = (cap[faces[:, i]] for i in range(3))
+    away = np.einsum("ij,ij->i", np.cross(b - a, c - a), a - cap.mean(axis=0)) > 0.0
+    faces = np.where(away[:, None], faces, faces[:, [0, 2, 1]])
+    with pytest.raises(GeometryError, match="inward-facing faces"):
+        validate_mesh(TriangleMesh(vertices=cap, faces=faces))
+    excess = []
+
+    def recorded(*corners, signed_excess=meshgen._signed_excess):
+        excess.append(signed_excess(*corners))
+        return excess[-1]
+
+    monkeypatch.setattr(meshgen, "_signed_excess", recorded)
+    assert not meshgen._is_hull(cap, faces)
+    # the certificate reached its last clause, and there found the base faces
+    assert 0 < np.count_nonzero(np.concatenate(excess) <= 0.0) < len(faces)
 
 
 def test_hull_faces_start_at_their_smallest_index():

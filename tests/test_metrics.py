@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from spheregrid import (
     validate_mesh,
 )
 from oracle import brute_separation, sampled_covering, spiral_points
-from util import random_config, unit_rows
+from util import copied_vertex_tetrahedron, random_config, unit_rows
 
 ICOSA_EDGE = 4 / np.sqrt(10 + 2 * np.sqrt(5))
 TETRA_SEP = np.sqrt(8 / 3)
@@ -62,6 +64,18 @@ def test_separation_ignores_face_orientation_on_a_cap():
     for measure in (covering, mesh_ratio, evaluate):
         with pytest.raises(GeometryError):
             measure(cap)
+
+
+def test_zero_length_edge_raises_only_the_typed_error():
+    mesh = copied_vertex_tetrahedron()
+    config = SphericalConfig(points=mesh.vertices, mesh=mesh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for measure in (lambda: edge_ratios(mesh), lambda: separation(config),
+                        lambda: covering(config), lambda: mesh_ratio(config),
+                        lambda: evaluate(config)):
+            with pytest.raises(GeometryError, match="zero-length edge"):
+                measure()
 
 
 def test_covering_tetrahedron_analytic():

@@ -85,7 +85,7 @@ def test_parse_family_requires_l():
 def test_family_instantiation_validates_pairs():
     fam = parse_family("l,2")
     assert fam.instantiate(2) == ((2, 2),)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="position"):
         fam.instantiate(1)
     with pytest.raises(ParameterError):
         parse_family("l,0").instantiate(0)

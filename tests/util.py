@@ -10,7 +10,7 @@ from scipy.spatial.transform import Rotation
 
 import spheregrid
 import spheregrid.meshgen as meshgen
-from spheregrid import expected_cardinality, generate
+from spheregrid import TriangleMesh, base_polyhedron, expected_cardinality, generate
 
 BASES = ["tetrahedron", "octahedron", "icosahedron"]
 
@@ -24,6 +24,20 @@ def child_env():
 
 def unit_rows(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def copied_vertex_tetrahedron():
+    """The tetrahedron with a copy of vertex 0 splitting its first face.
+
+    The edge from vertex 0 to its copy has length 0.
+    """
+    tet = base_polyhedron("tetrahedron")
+    (a, b, c), *others = tet.faces.tolist()
+    assert a == 0
+    return TriangleMesh(
+        vertices=np.vstack([tet.vertices, tet.vertices[:1]]),
+        faces=np.array(others + [[a, b, 4], [b, c, 4], [c, a, 4]]),
+    )
 
 
 def random_triangle(rng, min_area=0.05, max_area=2.0):
