@@ -15,6 +15,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
+from . import meshgen
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -194,6 +195,10 @@ def cmd_metrics(args):
     return 0
 
 
+def _share_cpus(jobs):
+    meshgen._processes = jobs  # so that jobs x scan threads stay within the CPUs
+
+
 def _sweep_instance(task):
     base, family_text, l, pairs = task
     row = dict.fromkeys(SWEEP_COLUMNS, "")
@@ -232,7 +237,7 @@ def run_sweep(base, family_text, l_min, l_max, n_cap=10**6, jobs=1):
             continue
         tasks.append((base, family.text, l, pairs))
     if jobs > 1 and len(tasks) > 1:
-        with Pool(processes=jobs) as pool:
+        with Pool(processes=jobs, initializer=_share_cpus, initargs=(jobs,)) as pool:
             rows = pool.map(_sweep_instance, tasks)
     else:
         rows = [_sweep_instance(t) for t in tasks]

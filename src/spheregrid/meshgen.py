@@ -29,7 +29,7 @@ from .lattice import (
     validate_pair,
 )
 from .spherical import (
-    _dot, _norm, _signed_excess, _slerp, _solve_interior, project_to_sphere,
+    _cross, _dot, _norm, _signed_excess, _slerp, _solve_interior, project_to_sphere,
 )
 
 #: two generated points closer than this are treated as duplicates
@@ -38,17 +38,20 @@ DEDUP_TOL = 1e-9
 #: interior solve batch size, bounds peak memory of the solver temporaries
 _CHUNK = 400_000
 
-#: faces or edges per batch of the hull certificate and of the metrics' face scan
-_CERT_CHUNK = 65_536
+#: faces or edges per batch of the hull certificate and of the metrics' face scan;
+#: the helper thread's own malloc arena adds about 500 B a row of a batch to the
+#: peak RSS, 4 MiB here against 16 MiB (13%) at 32,768 and N = 122,882
+_CERT_CHUNK = 8_192
+
+#: processes sharing this one's CPUs, set in each of ``run_sweep``'s workers
+_processes = 1
 
 #: peak resident bytes per point of generate then evaluate, measured at N = 1,966,082
 _BYTES_PER_POINT = 462
 
-#: qhull hulls at least this many points as _LUNES overlapping longitude
-#: lunes, on _LUNE_THREADS threads or one a CPU the process may use, if fewer
+#: qhull hulls at least this many points as _LUNES overlapping longitude lunes
 _LUNE_GATE = 16_384
 _LUNES = 8
-_LUNE_THREADS = 2
 
 #: a lune reaches max(_LUNE_OVERLAP, _LUNE_REACH / sqrt(N)) past its sector:
 #: the widest empty caps of N uniform random points shrink only like
@@ -141,8 +144,13 @@ def _corners(vertices, faces):
 
 
 def _orient_outward(vertices, faces):
-    """Flip faces whose normal points toward the origin; returns faces."""
-    inward = _signed_excess(*_corners(vertices, faces)) < 0.0
+    """Flip faces of negative ``_signed_excess``, whose normal points toward
+    the origin; returns faces.  The sign of its numerator decides, but
+    where that is 0, arctan2(-0.0, x <= 0) may read -pi."""
+    a, b, c = _corners(vertices, faces)
+    num = _dot(a, _cross(b - a, c - a))
+    inward, tie = num < 0.0, num == 0.0
+    inward[tie] = _signed_excess(a[:, tie], b[:, tie], c[:, tie]) < 0.0
     faces = faces.copy()
     faces[inward] = faces[inward][:, [0, 2, 1]]
     return faces
@@ -266,6 +274,34 @@ def _canonical_faces(faces):
     return rolled[np.argsort(rolled[:, 0] * (rolled.max() + 1) + rolled[:, 1])]
 
 
+def _chunked(fn, n, chunk=_CERT_CHUNK):
+    """[fn(lo, hi) for each chunk of range(n)] in order, or the first failing
+    chunk's error.  From two chunks on, with 2 CPUs to this process's share
+    (its CPUs over ``_processes``), a thread living for the call takes chunks
+    in turn with this one; on one CPU two threads only contend."""
+    starts = range(0, n, chunk)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if n < 2 * chunk or (cpus or 1) // _processes < 2:
+        return [fn(k, min(k + chunk, n)) for k in starts]
+    values, errors, todo = {}, {}, iter(starts)
+
+    def work():
+        for k in todo:  # next() on a range iterator is atomic under the GIL
+            try:
+                values[k] = fn(k, min(k + chunk, n))
+            except Exception as exc:  # raised below, once every earlier chunk ran
+                errors[k] = exc
+                list(todo)  # hand out no later chunk
+
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        helper = pool.submit(work)
+        work()
+        helper.result()
+    if errors:
+        raise errors[min(errors)]
+    return [values[k] for k in starts]
+
+
 def _lune_hull(points):
     """The hull's canonical faces pieced from longitude lunes, or None.
 
@@ -294,7 +330,7 @@ def _lune_hull(points):
     if min(map(len, lunes)) < 4:
         return None
 
-    def kept(k):
+    def kept(k, _):
         # lune ids ascend, so a face rolls alike in local and global ids
         part = points[lunes[k]]
         hull = ConvexHull(part, qhull_options="Q5")
@@ -306,11 +342,8 @@ def _lune_hull(points):
         ).astype(np.int64) % _LUNES
         return lunes[k][local[sector == k]]
 
-    # on one CPU two threads only contend: at N = 122,882 they took 12% longer
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     try:
-        with concurrent.futures.ThreadPoolExecutor(min(_LUNE_THREADS, cpus or 1)) as pool:
-            faces = np.concatenate(list(pool.map(kept, range(_LUNES))))
+        faces = np.concatenate(_chunked(kept, _LUNES, 1))
     except QhullError:
         return None
     return _canonical_faces(faces) if _is_hull(points, faces) else None
@@ -488,15 +521,8 @@ def _is_hull(points, faces, known=()):
     vertex star winds twice.  The shortest edge must exceed DEDUP_TOL;
     nearest neighbours are hull edges.
     """
-    try:
-        half = _half_edges(faces, len(points), known)
-    except GeometryError:
-        return False
-    # half-edge 3 k + s starts at corner s of face k, opposite corner s - 1
-    corner, apex = faces.ravel(), np.roll(faces, 1, axis=1).ravel()
-    xyz = np.ascontiguousarray(points.T)
-    for k in range(0, len(half), _CERT_CHUNK):
-        h = half[k:k + _CERT_CHUNK]
+    def edges(lo, hi):
+        h = half[lo:hi]
         a, b, c, d = (xyz.take(x[h[:, i]], axis=1) for x in (corner, apex) for i in (0, 1))
         ad, bd, cd = a - d, b - d, c - d
         det = permanent = 0.0
@@ -506,15 +532,25 @@ def _is_hull(points, faces, known=()):
             permanent = permanent + (np.abs(p) + np.abs(q)) * np.abs(u[2])
         convex = np.all(det > _O3D_ERRBOUND * permanent)
         if not (convex and np.all(_dot(a - b, a - b) > DEDUP_TOL**2)):
-            return False
-    turn = 0.0
-    for k in range(0, len(faces), _CERT_CHUNK):
-        tri = faces[k:k + _CERT_CHUNK]
+            raise GeometryError("edge not convex or too short")
+
+    def turn(lo, hi):
+        tri = faces[lo:hi]
         excess = _signed_excess(*(xyz.take(tri[:, i], axis=1) for i in range(3)))
         if not np.all(excess > 0.0):
-            return False
-        turn += excess.sum()
-    return abs(turn - 4.0 * np.pi) < 2.0 * np.pi
+            raise GeometryError("face not outward")
+        return excess.sum()
+
+    try:
+        half = _half_edges(faces, len(points), known)
+        # half-edge 3 k + s starts at corner s of face k, opposite corner s - 1
+        corner, apex = faces.ravel(), np.roll(faces, 1, axis=1).ravel()
+        xyz = np.ascontiguousarray(points.T)
+        _chunked(edges, len(half))
+        turns = _chunked(turn, len(faces))
+    except GeometryError:
+        return False
+    return abs(sum(turns) - 4.0 * np.pi) < 2.0 * np.pi
 
 
 def subdivide_mesh(mesh, pair):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, ParameterError
-from .meshgen import _CERT_CHUNK, SphericalConfig
+from .meshgen import SphericalConfig, _chunked
 from .spherical import _cross, _dot, _norm
 
 #: histogram binning for per-face edge ratios
@@ -67,7 +67,7 @@ def _as_config(config):
 
 
 def _face_scan(mesh):
-    """One pass over a hull's faces in chunks of ``_CERT_CHUNK``.
+    """One pass over a hull's faces in ``_chunked`` chunks of ``_CERT_CHUNK``.
 
     Returns the shortest face-edge chord, the covering chord and the (F,)
     per-face ratios of shortest to longest edge chord.  The covering chord
@@ -81,26 +81,29 @@ def _face_scan(mesh):
     xyz = np.ascontiguousarray(np.asarray(mesh.vertices, dtype=np.float64).T)
     centroid = mesh.vertices.mean(axis=0)[:, None]
     ratios = np.empty(mesh.n_faces)
-    shortest, cov2 = np.inf, 0.0
-    for k in range(0, mesh.n_faces, _CERT_CHUNK):
-        corners = a, b, c = [xyz.take(f, axis=1) for f in mesh.faces[k:k + _CERT_CHUNK].T]
+
+    def scan(lo, hi):
+        corners = a, b, c = [xyz.take(f, axis=1) for f in mesh.faces[lo:hi].T]
         ab, bc, ca = _norm(a - b), _norm(b - c), _norm(c - a)
         low = np.minimum(np.minimum(ab, bc), ca)
-        shortest = min(shortest, low.min())
-        if shortest <= 0.0:  # before its zero normal is divided
+        least = low.min()
+        if least <= 0.0:  # before its zero normal is divided
             raise GeometryError(_ZERO_EDGE)
-        np.divide(low, np.maximum(np.maximum(ab, bc), ca), out=ratios[k:k + _CERT_CHUNK])
-        if cov2 is None:
-            continue
+        np.divide(low, np.maximum(np.maximum(ab, bc), ca), out=ratios[lo:hi])
         normals = _cross(b - a, c - a)
         height = _dot(normals, a)
         if np.any(height * (_dot(normals, centroid) - height) > 0.0):
-            cov2 = None
-            continue
+            return least, None
         dirs = np.divide(normals, _norm(normals), out=normals)
         flip = _dot(dirs, a + b + c) < 0.0
         dirs[:, flip] = -dirs[:, flip]
-        cov2 = max(cov2, *(_dot(dirs - x, dirs - x).max() for x in corners))
+        return least, [_dot(dirs - x, dirs - x).max() for x in corners]
+
+    shortest, cov2 = np.inf, 0.0
+    for low, chords in _chunked(scan, mesh.n_faces):
+        shortest = min(shortest, low)
+        if cov2 is not None:
+            cov2 = None if chords is None else max(cov2, *chords)
     return float(shortest), None if cov2 is None else float(np.sqrt(cov2)), ratios
 
 

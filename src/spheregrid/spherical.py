@@ -62,11 +62,6 @@ def _signed_excess(a, b, c):
     return 2.0 * np.arctan2(num, den)
 
 
-def _excess(a, b, c):
-    """Unsigned spherical excess of the triangle (a, b, c), no validation."""
-    return np.abs(_signed_excess(a, b, c))
-
-
 def _slerp(a, b, t):
     """Great-circle interpolation from a (t=0) to b (t=1)."""
     # the angle between a and b, stable for small and near-pi separations
@@ -107,7 +102,7 @@ def spherical_triangle_area(v0, va, vb):
             raise GeometryError("triangle has (near-)coincident vertices")
         if np.any(_norm(u + w) <= 1e-9):
             raise GeometryError("triangle has (near-)antipodal vertices")
-    area = _excess(v0, va, vb)
+    area = np.abs(_signed_excess(v0, va, vb))
     if np.any(area <= 0.0) or np.any(area >= 2.0 * np.pi):
         raise GeometryError("degenerate spherical triangle (zero or full area)")
     return area if area.ndim else float(area)
@@ -121,9 +116,9 @@ def area_coords(v0, va, vb, p):
     1 - lambda_a - lambda_b.
     """
     v0, va, vb, p = _components(v0, va, vb, p)
-    total = _excess(v0, va, vb)
-    la = _excess(v0, p, vb) / total
-    lb = _excess(v0, va, p) / total
+    total = np.abs(_signed_excess(v0, va, vb))
+    la = np.abs(_signed_excess(v0, p, vb)) / total
+    lb = np.abs(_signed_excess(v0, va, p)) / total
     return la, lb
 
 
@@ -212,7 +207,7 @@ def _solve_interior(v0, va, vb, la, lb):
     1 + a.b) are computed once, not n times.
     """
     v0, va, vb = (np.moveaxis(v, -1, 0) for v in (v0, va, vb))
-    total = _excess(v0, va, vb)
+    total = np.abs(_signed_excess(v0, va, vb))
     s = np.sign(_dot(v0, _cross(va - v0, vb - v0)))
     terms = (v0, va, vb, s, total, la, lb)
     p, res = _newton(*_meet(*terms), *terms)

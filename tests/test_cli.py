@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -260,6 +261,33 @@ def test_sweep_deterministic():
         assert {k: v for k, v in ra.items() if k != "seconds"} == {
             k: v for k, v in rb.items() if k != "seconds"
         }
+
+
+def test_sweep_jobs_give_the_rows_of_one_process():
+    # l = 28 stays below the scans' two-chunk gate (15,680 faces), l = 29
+    # and 30 pass it: one process runs their scans on two threads, each of
+    # two jobs on its share of the CPUs
+    without_seconds = [
+        [{k: v for k, v in row.items() if k != "seconds"} for row in run_sweep(
+            "icosa", "l,0", 28, 30, jobs=jobs)]
+        for jobs in (1, 2)
+    ]
+    assert without_seconds[0] == without_seconds[1]
+    assert [row["N"] for row in without_seconds[0]] == [7_842, 8_412, 9_002]
+
+
+def worker_processes(task):
+    """A sweep row holding the process count its worker shares the CPUs with."""
+    return {"_sort": 0, "l": task[2], "processes": meshgen._processes}
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="a spawned worker imports the unpatched sweep task")
+def test_sweep_workers_take_their_share_of_the_cpus(monkeypatch):
+    monkeypatch.setattr(cli, "_sweep_instance", worker_processes)
+    rows = run_sweep("icosa", "l,0", 1, 3, jobs=3)
+    assert [r["processes"] for r in rows] == [3, 3, 3]
+    assert meshgen._processes == 1
 
 
 def test_sweep_error_row_continues(tmp_path):

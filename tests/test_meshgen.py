@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 from contextlib import contextmanager
@@ -25,6 +26,7 @@ from spheregrid import (
     validate_mesh,
 )
 from spheregrid.cli import main
+from spheregrid.spherical import _cross, _dot
 from oracle import spiral_points
 from util import (
     BASES, copied_vertex_tetrahedron, counting_qhull, random_sequence, unit_rows,
@@ -111,6 +113,24 @@ def test_hull_of_base_polyhedra():
         hull = convex_hull_triangulation(mesh.vertices)
         assert hull.n_faces == nf
         validate_mesh(hull)
+
+
+def test_outward_orientation_flips_the_faces_of_negative_excess():
+    # coplanar corners with signed zeros give numerators of +0.0 and -0.0,
+    # and arctan2 reads -0.0 over a denominator < 0 or of -0.0 as -pi
+    h = np.sqrt(3.0) / 2.0
+    v = np.vstack([
+        [[1.0, y, z], [-0.5, h, z], [-0.5, -h, z], [-1.0, y, z], [0.0, 1.0, z]]
+        for z in (0.0, -0.0) for y in (0.0, -0.0)
+    ] + [unit_rows(np.random.default_rng(9).normal(size=(6, 3)))])
+    faces = np.array(list(itertools.permutations(range(len(v)), 3)), dtype=np.int64)
+    a, b, c = meshgen._corners(v, faces)
+    excess, num = meshgen._signed_excess(a, b, c), _dot(a, _cross(b - a, c - a))
+    zero = num == 0.0
+    assert np.any(zero & (excess < 0.0)) and np.any(zero & ~(excess < 0.0))
+    assert np.any(num < 0.0) and np.any(num > 0.0)
+    flipped = np.any(meshgen._orient_outward(v, faces) != faces, axis=1)
+    assert np.array_equal(flipped, excess < 0.0)
 
 
 def cuboctahedron():

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import os
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -140,3 +141,23 @@ def counting_qhull():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(meshgen, "ConvexHull", counting)
         yield calls
+
+
+def pretend_cpus(monkeypatch, count):
+    """Let the package see ``count`` CPUs for the rest of the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@contextmanager
+def thread_starts():
+    """The name of every thread started inside the block."""
+    names = []
+    real = threading.Thread.start
+
+    def start(thread):
+        names.append(thread.name)
+        return real(thread)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threading.Thread, "start", start)
+        yield names
