@@ -1,16 +1,9 @@
 """Spherical point configurations from recursively subdivided triangle meshes.
 
-A configuration is built by laying a triangular grid over every face of a
-closed, convex, triangulated mesh (the three regular deltahedra to start):
-grid nodes interior to a face are placed by the inverse area-coordinate
-solve on its spherical triangle, nodes on shared edges at equal arc-length
-fractions of the edge arc, and the per-face results fuse into one point
-set.  The convex hull of that set is again a closed triangulated mesh, so
-the step can be applied repeatedly with a sequence of integer pairs.  Every
-pass returns that hull: the faces' Caspar-Klug lattice triangles (the
-Goldberg-Coxeter construction) once a certificate accepts them, else
-qhull's hull.  The certificate sorts only the half-edges on or across a
-parent edge; the lattice template pairs the rest.
+Each pass lays the lattice grid of a pair (m, n) over every face of a
+closed convex mesh, as the README describes, and returns the hull of the
+result: the faces' Goldberg-Coxeter lattice triangles once the certificate
+``_is_hull`` accepts them, else qhull's hull.
 """
 
 import concurrent.futures
@@ -46,8 +39,8 @@ _CERT_CHUNK = 8_192
 #: processes sharing this one's CPUs, set in each of ``run_sweep``'s workers
 _processes = 1
 
-#: peak resident bytes per point of generate then evaluate, measured at N = 1,966,082
-_BYTES_PER_POINT = 462
+#: peak resident bytes per point of generate then evaluate, the most of three N ~ 2M runs
+_BYTES_PER_POINT = 730
 
 #: qhull hulls at least this many points as _LUNES overlapping longitude lunes
 _LUNE_GATE = 16_384
@@ -217,34 +210,42 @@ def _half_edges(faces, n_vertices, known=()):
     Half-edge 3 k + s of face k walks faces[k, s] -> faces[k, (s + 1) % 3].
     Returns the (E, 2) half-edge ids, column 0 walking lower -> higher,
     column 1 back: first the ``known`` twins (``_lattice_faces``), given
-    in either order and checked in O(F), then the rest sorted on their
-    (lower, higher) vertex key.  In such a mesh every edge is traversed
-    once in each direction, so the half-edges with i < j are the edges and
-    the others exactly their reversals.  Raises GeometryError otherwise,
-    or when V - E + F != 2.
+    in either order, copied in and swapped in place, and checked in O(F),
+    then the rest sorted on their (lower, higher) vertex key.  In such a
+    mesh every edge is traversed once in each direction, so the half-edges
+    with i < j are the edges and the others exactly their reversals.
+    Raises GeometryError otherwise, or when V - E + F != 2.
     """
     f = np.asarray(faces, dtype=np.int64)
     i, j = f.ravel(), np.roll(f, -1, axis=1).ravel()
     upward = i < j
-    a, b = np.asarray(known, dtype=np.int64).reshape(-1, 2).T
-    a, b = np.where(upward[a], [a, b], [b, a])
+    known = np.asarray(known, dtype=np.int64).reshape(-1, 2)
     rest = np.ones(len(i), dtype=bool)
-    rest[a] = rest[b] = False
+    rest[known] = False
     up, down = np.flatnonzero(rest & upward), np.flatnonzero(rest & ~upward)
-    key = i[up] * n_vertices + j[up]
-    twin = j[down] * n_vertices + i[down]
+    del rest
+    half = np.empty((len(known) + len(up), 2), dtype=np.int64)
+    a, b = half[:len(known)].T
+    half[:len(known)] = known
+    flip = ~upward[a]
+    a[flip], b[flip] = b[flip], a[flip]
+    paired = np.all(upward[a]) and np.array_equal(i[a], j[b]) and np.array_equal(j[a], i[b])
+    key, twin = i[up] * n_vertices + j[up], j[down] * n_vertices + i[down]
+    del j
     by_key, by_twin = np.argsort(key), np.argsort(twin)
     key, twin = key[by_key], twin[by_twin]
-    if (not np.array_equal(key, twin) or np.any(key[1:] == key[:-1])
-            or len(key) + len(twin) + 2 * len(a) != len(i) or not np.all(upward[a])
-            or not (np.array_equal(i[a], j[b]) and np.array_equal(j[a], i[b]))):
+    if (not paired or not np.array_equal(key, twin) or np.any(key[1:] == key[:-1])
+            or len(up) + len(down) + 2 * len(a) != len(i)):
         raise GeometryError(
             "mesh is not a closed, consistently oriented 2-manifold "
             "(edge not traversed once in each direction)"
         )
-    if n_vertices - len(key) - len(a) + len(f) != 2:
+    del key, twin
+    if n_vertices - len(half) + len(f) != 2:
         raise GeometryError("mesh violates Euler characteristic V - E + F = 2")
-    return np.column_stack([np.concatenate([a, up[by_key]]), np.concatenate([b, down[by_twin]])])
+    half[len(known):, 0] = up[by_key]
+    half[len(known):, 1] = down[by_twin]
+    return half
 
 
 def validate_mesh(mesh, sphere_tol=1e-12):
@@ -265,13 +266,19 @@ def _canonical_faces(faces):
     """Each face rolled to start at its smallest index, rows sorted.
 
     The sort key is the directed edge from a face's first to its second
-    vertex, which no other face of a closed oriented mesh walks.
+    vertex, which no other face of a closed oriented mesh walks; it is
+    built in place, and each temporary is freed once read.
     """
     rolled, first = faces.copy(), faces.argmin(axis=1)
     for k in (1, 2):
         rows = np.flatnonzero(first == k)
         rolled[rows] = faces[rows][:, [k, (k + 1) % 3, (k + 2) % 3]]
-    return rolled[np.argsort(rolled[:, 0] * (rolled.max() + 1) + rolled[:, 1])]
+    del first
+    key = rolled[:, 0] * (rolled.max() + 1)
+    key += rolled[:, 1]
+    order = np.argsort(key)
+    del key
+    return rolled[order]
 
 
 def _chunked(fn, n, chunk=_CERT_CHUNK):
@@ -354,9 +361,7 @@ def convex_hull_triangulation(points):
 
     Faces index the input array, whose order is preserved.  Each face row
     starts at its smallest index and the rows are sorted, as in
-    ``subdivide_mesh``'s lattice meshes; ``subdivide_mesh`` calls it only
-    for a pass whose lattice mesh the certificate refuses, and ``export``
-    and ``metrics --in`` for points read from a file.  Coplanar facet patches
+    ``subdivide_mesh``'s lattice meshes.  Coplanar facet patches
     (several hull points on a common plane circle) come out triangulated
     deterministically for a fixed input ordering.  Every input point must
     be a hull vertex, which holds for any point set on the sphere without
@@ -556,13 +561,10 @@ def _is_hull(points, faces, known=()):
 def subdivide_mesh(mesh, pair):
     """One grid-refinement pass over every face of a closed, oriented mesh.
 
-    Nodes shared between faces are produced exactly once, so the fusion of
-    per-face grids never depends on a dedup tolerance: mesh vertices are
-    copied, nodes on a shared edge sit at equal arc-length fractions j/g
-    (g = gcd(m, n)) of the edge's great-circle arc, and strictly interior
-    nodes are found per face by the inverse area-coordinate solve.  The
-    arc-length rule for edge nodes depends only on the edge's endpoints,
-    so the two faces sharing an edge always agree on its nodes.
+    Nodes shared between faces are made once, so no dedup tolerance fuses
+    the per-face grids: vertices are copied, the nodes of an edge sit at
+    arc-length fractions j/g (g = gcd(m, n)) of its arc, and interior nodes
+    come from the inverse area-coordinate solve.
 
     The result's ``mesh`` is the hull of its points, faces as
     ``convex_hull_triangulation`` orders them: the lattice triangles of the
@@ -624,10 +626,13 @@ def subdivide_mesh(mesh, pair):
         )
     faces, known = _lattice_faces(f, half, n_vertices, (m, n), pts, is_interior)
     order = _canonical_permutation(points)
-    if _is_hull(points, faces, known):
+    certified = _is_hull(points, faces, known)
+    del known
+    if certified:
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        hull = TriangleMesh(vertices=points[order], faces=_canonical_faces(rank[faces]))
+        faces = rank[faces]
+        hull = TriangleMesh(vertices=points[order], faces=_canonical_faces(faces))
     else:
         hull = convex_hull_triangulation(points[order])
         _half_edges(hull.faces, len(points))
@@ -648,7 +653,7 @@ def generate(base, pairs):
     are cocircular ties) is the next mesh, and the final one stays attached
     for metric evaluation.  Each pass checks its closed-form count, so the
     point count is 2 + (V0 - 2) * prod_k gamma(m_k, n_k); a count whose
-    462 B a point exceed physical memory raises ParameterError up front.
+    730 B a point exceed physical memory raises ParameterError up front.
     """
     name = canonical_base_name(base)
     pair_list = [validate_pair(p) for p in pairs]

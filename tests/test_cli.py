@@ -408,6 +408,6 @@ def test_sweep_turns_an_oversized_instance_into_an_error_row(no_allocation, caps
 def test_generate_refuses_what_the_memory_figure_cannot_hold(monkeypatch):
     figures = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 48}  # 192 KiB
     monkeypatch.setattr(os, "sysconf", figures.__getitem__)
-    # 482 points at 462 B a point need 222,684 B
-    with pytest.raises(ParameterError, match=r"N=482 .* 0\.000207 GiB, .* 0\.000183 GiB"):
+    # 482 points at 730 B a point need 351,860 B
+    with pytest.raises(ParameterError, match=r"N=482 .* 0\.000328 GiB, .* 0\.000183 GiB"):
         generate("icosa", [(1, 1), (4, 0)])

@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -29,7 +30,8 @@ from spheregrid.cli import main
 from spheregrid.spherical import _cross, _dot
 from oracle import spiral_points
 from util import (
-    BASES, copied_vertex_tetrahedron, counting_qhull, random_sequence, unit_rows,
+    BASES, copied_vertex_tetrahedron, counting_qhull, pretend_cpus, random_sequence,
+    unit_rows,
 )
 
 
@@ -781,6 +783,50 @@ def test_lattice_template_twins_are_the_sorted_twins(base, first, pair):
     whole = meshgen._half_edges(faces, len(points))
     assert edge_rows(meshgen._half_edges(faces, len(points), known)) == edge_rows(whole)
     assert {frozenset(p) for p in known.tolist()} <= {frozenset(p) for p in whole.tolist()}
+
+
+def test_a_certified_pass_peaks_near_its_output(monkeypatch):
+    # traced bytes a point at N=122,882 on one CPU, where the certificate's
+    # _half_edges sets the peak: 325 measured, 3% allowed; one more int64
+    # array of a whole-mesh size adds 16 (a row a face) to 48 (a half-edge)
+    pretend_cpus(monkeypatch, 1)
+    mesh = generate("icosahedron", [(1, 1), (4, 0), (4, 0)]).mesh
+    tracemalloc.start()
+    try:
+        n = subdivide_mesh(mesh, (4, 0)).n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 122_882 and peak / n <= 1.03 * 325
+
+
+def not_twins(known, upward):
+    return np.column_stack([known[:, 0], np.roll(known[:, 1], 1)])
+
+
+def listed_twice(known, upward):
+    return np.vstack([known, known[:1]])
+
+
+def walking_the_same_way(known, upward):
+    # every half-edge is still listed once, but each pair is two upward or
+    # two downward halves
+    up = np.where(upward[known[:, 0]], known[:, 0], known[:, 1])
+    down = known[:, 0] + known[:, 1] - up
+    assert len(known) % 2 == 0
+    return np.column_stack([np.concatenate([up[0::2], down[0::2]]),
+                            np.concatenate([up[1::2], down[1::2]])])
+
+
+@pytest.mark.parametrize("corrupt", [not_twins, listed_twice, walking_the_same_way])
+def test_half_edges_refuse_a_corrupted_known_list(corrupt):
+    with recording("_is_hull") as calls:
+        subdivide_mesh(base_polyhedron("icosahedron"), (4, 0))
+    [(points, faces, known)] = calls
+    meshgen._half_edges(faces, len(points), known)
+    upward = faces.ravel() < np.roll(faces, -1, axis=1).ravel()
+    with pytest.raises(GeometryError, match="not a closed"):
+        meshgen._half_edges(faces, len(points), corrupt(known, upward))
 
 
 @pytest.mark.parametrize(
