@@ -4,7 +4,8 @@ The grid lives on the triangular (hexagonal) lattice spanned by the basis
 vectors e1 = (1, 0) and e2 = (1/2, sqrt(3)/2).  A grid is selected by an
 integer pair (m, n) with m >= n >= 0 and m > 0: the points kept are those
 inside or on the triangle with corners 0, a = m*e1 + n*e2 and
-b = -n*e1 + (m+n)*e2, their count set by ``triangulation_number``.
+b = -n*e1 + (m+n)*e2.  The size of the grid scales with the triangulation
+number m^2 + n^2 + m*n.
 """
 
 import numpy as np

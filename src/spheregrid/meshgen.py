@@ -1,9 +1,16 @@
 """Spherical point configurations from recursively subdivided triangle meshes.
 
-Each pass lays the lattice grid of a pair (m, n) over every face of a
-closed convex mesh, as the README describes, and returns the hull of the
-result: the faces' Goldberg-Coxeter lattice triangles once the certificate
-``_is_hull`` accepts them, else qhull's hull.
+A configuration is built by laying a triangular grid over every face of a
+closed, convex, triangulated mesh (the three regular deltahedra to start):
+grid nodes interior to a face are placed by the inverse area-coordinate
+solve on its spherical triangle, nodes on shared edges at equal arc-length
+fractions of the edge arc, and the per-face results fuse into one point
+set.  The convex hull of that set is again a closed triangulated mesh, so
+the step can be applied repeatedly with a sequence of integer pairs.  Every
+pass returns that hull: the faces' Caspar-Klug lattice triangles (the
+Goldberg-Coxeter construction) once a certificate accepts them, else
+qhull's hull.  The certificate sorts only the half-edges on or across a
+parent edge; the lattice template pairs the rest.
 """
 
 import concurrent.futures
@@ -55,16 +62,10 @@ _LUNE_REACH = 12.0
 #: Shewchuk's static orient3d error bound, (7 + 56 eps) eps with eps = 2^-53
 _O3D_ERRBOUND = (7.0 + 56.0 * 2.0**-53) * 2.0**-53
 
-_BASE_NAMES = {
-    "tetra": "tetrahedron",
-    "tetrahedron": "tetrahedron",
-    "octa": "octahedron",
-    "octahedron": "octahedron",
-    "icosa": "icosahedron",
-    "icosahedron": "icosahedron",
-}
-
 _BASE_VERTEX_COUNT = {"tetrahedron": 4, "octahedron": 6, "icosahedron": 12}
+
+#: each base by its full name or by that name without "hedron"
+_BASE_NAMES = {k: v for v in _BASE_VERTEX_COUNT for k in (v, v.removesuffix("hedron"))}
 
 
 @dataclass
@@ -123,11 +124,7 @@ def base_vertex_count(name):
 def expected_cardinality(base, pairs):
     """Closed-form point count: 2 + (V0 - 2) * prod of triangulation numbers."""
     v0 = base_vertex_count(base)
-    prod = 1
-    for pair in pairs:
-        m, n = validate_pair(pair)
-        prod *= triangulation_number(m, n)
-    return 2 + (v0 - 2) * prod
+    return 2 + (v0 - 2) * math.prod(triangulation_number(*validate_pair(p)) for p in pairs)
 
 
 def _corners(vertices, faces):
@@ -181,16 +178,11 @@ def base_polyhedron(name):
     else:
         zr = 1.0 / math.sqrt(5.0)
         rr = 2.0 / math.sqrt(5.0)
-        upper = [
-            (rr * math.cos(2.0 * math.pi * k / 5.0),
-             rr * math.sin(2.0 * math.pi * k / 5.0), zr)
-            for k in range(5)
-        ]
-        lower = [
-            (rr * math.cos(2.0 * math.pi * k / 5.0 + math.pi / 5.0),
-             rr * math.sin(2.0 * math.pi * k / 5.0 + math.pi / 5.0), -zr)
-            for k in range(5)
-        ]
+        upper, lower = (
+            [(rr * math.cos(t), rr * math.sin(t), z)
+             for t in (2.0 * math.pi * k / 5.0 + turn for k in range(5))]
+            for turn, z in ((0.0, zr), (math.pi / 5.0, -zr))
+        )
         v = np.array([(0.0, 0.0, 1.0)] + upper + lower + [(0.0, 0.0, -1.0)])
         f = []
         for k in range(5):
@@ -361,7 +353,9 @@ def convex_hull_triangulation(points):
 
     Faces index the input array, whose order is preserved.  Each face row
     starts at its smallest index and the rows are sorted, as in
-    ``subdivide_mesh``'s lattice meshes.  Coplanar facet patches
+    ``subdivide_mesh``'s lattice meshes; ``subdivide_mesh`` calls it only
+    for a pass whose lattice mesh the certificate refuses, and ``export``
+    and ``metrics --in`` for points read from a file.  Coplanar facet patches
     (several hull points on a common plane circle) come out triangulated
     deterministically for a fixed input ordering.  Every input point must
     be a hull vertex, which holds for any point set on the sphere without
@@ -561,10 +555,13 @@ def _is_hull(points, faces, known=()):
 def subdivide_mesh(mesh, pair):
     """One grid-refinement pass over every face of a closed, oriented mesh.
 
-    Nodes shared between faces are made once, so no dedup tolerance fuses
-    the per-face grids: vertices are copied, the nodes of an edge sit at
-    arc-length fractions j/g (g = gcd(m, n)) of its arc, and interior nodes
-    come from the inverse area-coordinate solve.
+    Nodes shared between faces are produced exactly once, so the fusion of
+    per-face grids never depends on a dedup tolerance: mesh vertices are
+    copied, nodes on a shared edge sit at equal arc-length fractions j/g
+    (g = gcd(m, n)) of the edge's great-circle arc, and strictly interior
+    nodes are found per face by the inverse area-coordinate solve.  The
+    arc-length rule for edge nodes depends only on the edge's endpoints,
+    so the two faces sharing an edge always agree on its nodes.
 
     The result's ``mesh`` is the hull of its points, faces as
     ``convex_hull_triangulation`` orders them: the lattice triangles of the
@@ -587,10 +584,7 @@ def subdivide_mesh(mesh, pair):
 
     pts = lattice_points(m, n)
     alpha, beta = _bary_numerators(pts, m, n)
-    on_a_edge = beta == 0
-    on_b_edge = alpha == 0
-    on_far_edge = alpha + beta == gamma
-    is_interior = ~(on_a_edge | on_b_edge | on_far_edge)
+    is_interior = (alpha > 0) & (beta > 0) & (alpha + beta < gamma)
     int_la = alpha[is_interior] / float(gamma)
     int_lb = beta[is_interior] / float(gamma)
     n_int = int(is_interior.sum())

@@ -4,6 +4,10 @@ Distances are Euclidean chord lengths throughout.  The separation distance
 is the smallest pairwise distance; the covering radius is the largest
 distance from any sphere point to its nearest configuration point; their
 ratio (covering / separation) is the mesh ratio, where lower is better.
+Both extremes are read off the hull triangulation: nearest neighbours on
+the sphere are hull (Delaunay) neighbours, so the separation is the
+shortest hull face edge, and the covering radius is attained at a
+spherical Voronoi vertex, i.e. at a hull-facet circumcentre direction.
 Every measure reads one scan of the hull's faces, made in fixed-size
 chunks: it yields the shortest edge chord, the covering chord and each
 face's edge ratio together.
@@ -69,16 +73,14 @@ def _face_scan(mesh):
     per-face ratios of shortest to longest edge chord.  The covering chord
     is the largest facet circumradius chord, each facet's circumcentre
     direction being its outward unit normal; it is None when a facet plane
-    has the origin and the vertices' centroid on opposite sides (the hull
-    leaves the origin outside), and a chunk started later skips it.  A line
-    meets the sphere in at most two points, so no facet of distinct sphere
-    points has a zero normal; a face with a zero-length edge raises
-    GeometryError.
+    has the origin and the vertices' centroid on opposite sides, i.e. the
+    hull leaves the origin outside.  A line meets the sphere in at most two
+    points, so no facet of distinct sphere points has a zero normal; a face
+    with a zero-length edge raises GeometryError.
     """
     xyz = np.ascontiguousarray(np.asarray(mesh.vertices, dtype=np.float64).T)
     centroid = mesh.vertices.mean(axis=0)[:, None]
     ratios = np.empty(mesh.n_faces)
-    outside = []  # unlocked: a chunk that misses an append only does wasted work
 
     def scan(lo, hi):
         corners = a, b, c = [xyz.take(f, axis=1) for f in mesh.faces[lo:hi].T]
@@ -88,12 +90,9 @@ def _face_scan(mesh):
         if least <= 0.0:  # before its zero normal is divided
             raise GeometryError(_ZERO_EDGE)
         np.divide(low, np.maximum(np.maximum(ab, bc), ca), out=ratios[lo:hi])
-        if outside:
-            return least, None
         normals = _cross(b - a, c - a)
         height = _dot(normals, a)
         if np.any(height * (_dot(normals, centroid) - height) > 0.0):
-            outside.append(lo)
             return least, None
         dirs = np.divide(normals, _norm(normals), out=normals)
         flip = _dot(dirs, a + b + c) < 0.0
@@ -111,11 +110,11 @@ def _face_scan(mesh):
 def separation(config):
     """Smallest pairwise chord distance of the configuration.
 
-    The minimum over the hull's face edges (nearest neighbours on the sphere
-    are hull neighbours), O(F) after the hull.  Each edge is read from both
-    its faces, which leaves the minimum unchanged, so no edge set is built
-    and the result does not depend on face orientation.  Tiny inputs
-    (fewer than 4 points) fall back to the direct pairwise scan.
+    The minimum over the hull's face edges, O(F) after the hull.  Each
+    edge is read once from each of its two faces, which leaves the
+    minimum unchanged, so no edge set is built and the result does not
+    depend on face orientation.  Tiny inputs (fewer than 4 points) fall
+    back to the direct pairwise scan.
     """
     config = _as_config(config)
     pts = config.points

@@ -7,7 +7,12 @@ costs 9.6 ms as x*x + y*y + z*z against 32 ms as a length-3 axis sum.
 A spherical triangle is given by three vertex vectors (v0, va, vb).
 Area coordinates of a point p inside the triangle are the fractions of
 the total spherical area taken by the sub-triangles opposite each
-vertex; ``_solve_interior`` recovers p from them in closed form.
+vertex.  Recovering p from prescribed fractions has a closed form: by
+Lexell's theorem the apexes of equal area over a fixed base lie on one
+circle through the antipodes of the base's ends, and the two circles
+fixed by the fractions meet at -v0 and at p.  Where rounding leaves a
+sliver's row above tolerance, the same closed form is started again
+from each of the three vertex labellings in turn.
 """
 
 import numpy as np

@@ -23,7 +23,6 @@ from spheregrid import (
     metrics,
     validate_mesh,
 )
-from spheregrid.spherical import _dot
 from util import child_env, pretend_cpus, thread_starts
 
 
@@ -141,30 +140,6 @@ def test_face_scan_refuses_an_outside_origin_in_its_second_half(monkeypatch, ico
     assert one_cpu[0] == shortest and one_cpu[2].tobytes() == ratios.tobytes()
     inside = beyond_face(icosa_64, k, 1.0 - 1e-6)
     assert covering(SphericalConfig(points=inside, mesh=TriangleMesh(inside, icosa_64.faces)))
-
-
-def test_face_scan_skips_the_covering_after_the_origin_is_found_outside(monkeypatch, icosa_64):
-    # on one CPU the chunks run in order, and the first finds face 5's plane
-    # between the origin and the centroid: each of the two scans takes the
-    # normals of that chunk only
-    pretend_cpus(monkeypatch, 1)
-    points = beyond_face(icosa_64, 5, 1.0 + 1e-6)
-    config = SphericalConfig(points=points, mesh=TriangleMesh(points, icosa_64.faces))
-    normals = []
-    cross = metrics._cross
-
-    def spy(u, v):
-        normals.append(u.shape[1])
-        return cross(u, v)
-
-    monkeypatch.setattr(metrics, "_cross", spy)
-    shortest, ratios = metrics.separation(config), metrics.edge_ratios(config.mesh)
-    assert normals == [meshgen._CERT_CHUNK] * 2
-    a, b, c = (points.T.take(f, axis=1) for f in icosa_64.faces.T)
-    ab, bc, ca = (np.sqrt(_dot(e, e)) for e in (a - b, b - c, c - a))
-    assert shortest == np.minimum(np.minimum(ab, bc), ca).min()
-    expected = np.minimum(np.minimum(ab, bc), ca) / np.maximum(np.maximum(ab, bc), ca)
-    assert ratios.tobytes() == expected.tobytes()
 
 
 def generate_and_evaluate(base, pairs):
