@@ -62,10 +62,16 @@ _LUNE_REACH = 12.0
 #: Shewchuk's static orient3d error bound, (7 + 56 eps) eps with eps = 2^-53
 _O3D_ERRBOUND = (7.0 + 56.0 * 2.0**-53) * 2.0**-53
 
-_BASE_VERTEX_COUNT = {"tetrahedron": 4, "octahedron": 6, "icosahedron": 12}
+_BASE_NAMES = {
+    "tetra": "tetrahedron",
+    "tetrahedron": "tetrahedron",
+    "octa": "octahedron",
+    "octahedron": "octahedron",
+    "icosa": "icosahedron",
+    "icosahedron": "icosahedron",
+}
 
-#: each base by its full name or by that name without "hedron"
-_BASE_NAMES = {k: v for v in _BASE_VERTEX_COUNT for k in (v, v.removesuffix("hedron"))}
+_BASE_VERTEX_COUNT = {"tetrahedron": 4, "octahedron": 6, "icosahedron": 12}
 
 
 @dataclass
@@ -124,7 +130,11 @@ def base_vertex_count(name):
 def expected_cardinality(base, pairs):
     """Closed-form point count: 2 + (V0 - 2) * prod of triangulation numbers."""
     v0 = base_vertex_count(base)
-    return 2 + (v0 - 2) * math.prod(triangulation_number(*validate_pair(p)) for p in pairs)
+    prod = 1
+    for pair in pairs:
+        m, n = validate_pair(pair)
+        prod *= triangulation_number(m, n)
+    return 2 + (v0 - 2) * prod
 
 
 def _corners(vertices, faces):
@@ -178,11 +188,16 @@ def base_polyhedron(name):
     else:
         zr = 1.0 / math.sqrt(5.0)
         rr = 2.0 / math.sqrt(5.0)
-        upper, lower = (
-            [(rr * math.cos(t), rr * math.sin(t), z)
-             for t in (2.0 * math.pi * k / 5.0 + turn for k in range(5))]
-            for turn, z in ((0.0, zr), (math.pi / 5.0, -zr))
-        )
+        upper = [
+            (rr * math.cos(2.0 * math.pi * k / 5.0),
+             rr * math.sin(2.0 * math.pi * k / 5.0), zr)
+            for k in range(5)
+        ]
+        lower = [
+            (rr * math.cos(2.0 * math.pi * k / 5.0 + math.pi / 5.0),
+             rr * math.sin(2.0 * math.pi * k / 5.0 + math.pi / 5.0), -zr)
+            for k in range(5)
+        ]
         v = np.array([(0.0, 0.0, 1.0)] + upper + lower + [(0.0, 0.0, -1.0)])
         f = []
         for k in range(5):
@@ -584,7 +599,10 @@ def subdivide_mesh(mesh, pair):
 
     pts = lattice_points(m, n)
     alpha, beta = _bary_numerators(pts, m, n)
-    is_interior = (alpha > 0) & (beta > 0) & (alpha + beta < gamma)
+    on_a_edge = beta == 0
+    on_b_edge = alpha == 0
+    on_far_edge = alpha + beta == gamma
+    is_interior = ~(on_a_edge | on_b_edge | on_far_edge)
     int_la = alpha[is_interior] / float(gamma)
     int_lb = beta[is_interior] / float(gamma)
     n_int = int(is_interior.sum())
