@@ -36,7 +36,10 @@ from .spherical import (
 DEDUP_TOL = 1e-9
 
 #: interior solve batch size, bounds peak memory of the solver temporaries
-_CHUNK = 400_000
+_CHUNK = 65_536
+
+#: dtype of a pass's vertex indices and half-edge ids, 3 F = 6 N - 12 of the latter
+_INDEX = np.int32
 
 #: faces or edges per batch of the hull certificate and of the metrics' face scan;
 #: the helper thread's own malloc arena adds about 500 B a row of a batch to the
@@ -47,7 +50,7 @@ _CERT_CHUNK = 8_192
 _processes = 1
 
 #: peak resident bytes per point of generate then evaluate, the most of three N ~ 2M runs
-_BYTES_PER_POINT = 730
+_BYTES_PER_POINT = 489
 
 #: qhull hulls at least this many points as _LUNES overlapping longitude lunes
 _LUNE_GATE = 16_384
@@ -215,29 +218,32 @@ def _half_edges(faces, n_vertices, known=()):
     """The two half-edges of every edge of a closed, consistently oriented mesh.
 
     Half-edge 3 k + s of face k walks faces[k, s] -> faces[k, (s + 1) % 3].
-    Returns the (E, 2) half-edge ids, column 0 walking lower -> higher,
+    Returns the (E, 2) int32 half-edge ids, column 0 walking lower -> higher,
     column 1 back: first the ``known`` twins (``_lattice_faces``), given
     in either order, copied in and swapped in place, and checked in O(F),
     then the rest sorted on their (lower, higher) vertex key.  In such a
     mesh every edge is traversed once in each direction, so the half-edges
     with i < j are the edges and the others exactly their reversals.
-    Raises GeometryError otherwise, or when V - E + F != 2.
+    Raises GeometryError otherwise, when V - E + F != 2 or 3 F > 2^31.
     """
-    f = np.asarray(faces, dtype=np.int64)
+    if 3 * len(faces) > np.iinfo(_INDEX).max + 1:
+        raise GeometryError(f"{3 * len(faces)} half-edge ids; int32 holds 2^31")
+    f = np.asarray(faces, dtype=_INDEX)
     i, j = f.ravel(), np.roll(f, -1, axis=1).ravel()
     upward = i < j
-    known = np.asarray(known, dtype=np.int64).reshape(-1, 2)
+    known = np.asarray(known, dtype=_INDEX).reshape(-1, 2)
     rest = np.ones(len(i), dtype=bool)
     rest[known] = False
     up, down = np.flatnonzero(rest & upward), np.flatnonzero(rest & ~upward)
     del rest
-    half = np.empty((len(known) + len(up), 2), dtype=np.int64)
+    half = np.empty((len(known) + len(up), 2), dtype=_INDEX)
     a, b = half[:len(known)].T
     half[:len(known)] = known
     flip = ~upward[a]
     a[flip], b[flip] = b[flip], a[flip]
     paired = np.all(upward[a]) and np.array_equal(i[a], j[b]) and np.array_equal(j[a], i[b])
-    key, twin = i[up] * n_vertices + j[up], j[down] * n_vertices + i[down]
+    key = i[up].astype(np.int64) * n_vertices + j[up]
+    twin = j[down].astype(np.int64) * n_vertices + i[down]
     del j
     by_key, by_twin = np.argsort(key), np.argsort(twin)
     key, twin = key[by_key], twin[by_twin]
@@ -273,19 +279,19 @@ def _canonical_faces(faces):
     """Each face rolled to start at its smallest index, rows sorted.
 
     The sort key is the directed edge from a face's first to its second
-    vertex, which no other face of a closed oriented mesh walks; it is
-    built in place, and each temporary is freed once read.
+    vertex, which no other face of a closed oriented mesh walks; temporaries
+    are freed once read, and rows widen to int64 in the sorted gather.
     """
     rolled, first = faces.copy(), faces.argmin(axis=1)
     for k in (1, 2):
         rows = np.flatnonzero(first == k)
         rolled[rows] = faces[rows][:, [k, (k + 1) % 3, (k + 2) % 3]]
     del first
-    key = rolled[:, 0] * (rolled.max() + 1)
+    key = rolled[:, 0].astype(np.int64) * (int(rolled.max()) + 1)
     key += rolled[:, 1]
     order = np.argsort(key)
     del key
-    return rolled[order]
+    return rolled[order].astype(np.int64)
 
 
 def _chunked(fn, n, chunk=_CERT_CHUNK):
@@ -338,7 +344,7 @@ def _lune_hull(points):
     with np.errstate(invalid="ignore"):
         lunes = [
             np.flatnonzero((y * np.cos(lo) - x * np.sin(lo) >= -reach)
-                           & (y * np.cos(hi) - x * np.sin(hi) <= reach))
+                           & (y * np.cos(hi) - x * np.sin(hi) <= reach)).astype(_INDEX)
             for lo, hi in zip(edge[:-1], edge[1:])
         ]
     if min(map(len, lunes)) < 4:
@@ -348,7 +354,7 @@ def _lune_hull(points):
         # lune ids ascend, so a face rolls alike in local and global ids
         part = points[lunes[k]]
         hull = ConvexHull(part, qhull_options="Q5")
-        local = _canonical_faces(_orient_outward(part, hull.simplices.astype(np.int64)))
+        local = _canonical_faces(_orient_outward(part, hull.simplices))
         a, b, c = _corners(part, local)
         centroid = a + b + c
         sector = np.floor(
@@ -396,7 +402,7 @@ def convex_hull_triangulation(points):
             "input points are not all extreme; hull dropped "
             f"{len(points) - used} of them"
         )
-    faces = _orient_outward(points, hull.simplices.astype(np.int64))
+    faces = _orient_outward(points, hull.simplices)
     return TriangleMesh(vertices=points, faces=_canonical_faces(faces))
 
 
@@ -441,28 +447,28 @@ def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     higher index.  A corner with a negative weight w_x lies in the
     neighbour across the edge y -> z opposite x, with weights T - w_z on y,
     T - w_y on z and -w_x on the neighbour's third vertex.  Returns the
-    triangles, each face's n_sure "sure" ones (no centroid weight 0)
-    first, and the twins the template fixes: sides joining two sure
+    int32 triangles, each face's n_sure "sure" ones (no centroid weight 0)
+    first, and the int32 twins the template fixes: sides joining two sure
     triangles, 3 (f n_sure + t) + k and 3 (f n_sure + t') + k' for face f.
     """
     m, n = pair
     t, g = m * m + m * n + n * n, math.gcd(m, n)
     # half-edge s of a face walks faces[:, s] -> nxt[:, s]
     nxt = np.roll(faces, -1, axis=1)
-    edge, twin = np.empty((2, faces.size), dtype=np.int64)
+    edge, twin = np.empty((2, faces.size), dtype=_INDEX)
     edge[half] = np.arange(len(half))[:, None]
     twin[half] = half[:, ::-1]
     edge, across, slot = (a.reshape(-1, 3) for a in (edge, twin // 3, twin % 3))
     # global index of every lattice point of every face's closed triangle
     local = np.zeros((m + n + 1, m + n + 1), dtype=np.int64)
     local[pts[:, 0] + n, pts[:, 1]] = np.arange(len(pts))
-    table = np.empty((len(faces), len(pts)), dtype=np.int64)
+    table = np.empty((len(faces), len(pts)), dtype=_INDEX)
     n_int = int(is_interior.sum())
     first = n_vertices + len(half) * (g - 1)
     table[:, is_interior] = first + np.arange(len(faces) * n_int).reshape(n_int, len(faces)).T
     corner = np.array([[0, 0], [m, n], [-n, m + n]])
     table[:, local[corner[:, 0] + n, corner[:, 1]]] = faces
-    k = np.arange(1, g)
+    k = np.arange(1, g, dtype=_INDEX)
     step = np.roll(corner, -1, axis=0) - corner
     q = corner[:, None] + k[:, None] * step[:, None] // g
     kk = np.stack([g - k, k])[(faces < nxt).astype(np.intp)]
@@ -502,7 +508,7 @@ def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     sure = ~tie.any(axis=1)
     low_high = (faces < nxt)[:, (tie[~sure].argmax(axis=1) + 1) % 3]
     n_sure = len(faces) * int(sure.sum())
-    lattice = np.empty((n_sure + int(low_high.sum()), 3), dtype=np.int64)
+    lattice = np.empty((n_sure + int(low_high.sum()), 3), dtype=_INDEX)
     np.take(table, cols[sure], axis=1, out=lattice[:n_sure].reshape(len(faces), -1, 3))
     lattice[n_sure:] = table[:, cols[~sure]][low_high]
     # side k of a sure triangle walks P_k -> P_k+1; across it lies the
@@ -518,8 +524,9 @@ def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     row, side = np.nonzero(across < len(ts))
     row1 = across[row, side]
     side1 = np.all(ts[row1] == p1[row, side, None], axis=-1).argmax(axis=1)
-    twins = np.stack([3 * row + side, 3 * row1 + side1], axis=-1)[row < row1]
-    return lattice, (3 * len(ts) * np.arange(len(faces))[:, None, None] + twins).reshape(-1, 2)
+    twins = np.stack([3 * row + side, 3 * row1 + side1], axis=-1)[row < row1].astype(_INDEX)
+    faces_at = 3 * len(ts) * np.arange(len(faces), dtype=_INDEX)
+    return lattice, (faces_at[:, None, None] + twins).reshape(-1, 2)
 
 
 def _is_hull(points, faces, known=()):
@@ -590,7 +597,7 @@ def subdivide_mesh(mesh, pair):
     """
     m, n = validate_pair(pair)
     xyz = np.ascontiguousarray(np.asarray(mesh.vertices, dtype=np.float64).T)
-    f = np.asarray(mesh.faces, dtype=np.int64)
+    f = np.asarray(mesh.faces, dtype=_INDEX)
     if not np.all(np.abs(_norm(xyz) - 1.0) <= 1e-12):
         raise GeometryError("mesh vertices must lie on the unit sphere")
     n_vertices = xyz.shape[1]
@@ -613,23 +620,21 @@ def subdivide_mesh(mesh, pair):
     blocks = [xyz]
     if gc > 1:
         frac = np.arange(1, gc) / float(gc)
-        end_a, end_b = (
-            np.repeat(xyz.take(ends, axis=1), gc - 1, axis=1) for ends in f.ravel()[half].T
-        )
-        blocks.append(_slerp(end_a, end_b, np.tile(frac, len(half))))
+        ends = (np.repeat(xyz.take(e, axis=1), gc - 1, axis=1) for e in f.ravel()[half].T)
+        blocks.append(_slerp(*ends, np.tile(frac, len(half))))
 
     if n_int > 0:
-        # node-major: interior node k of face i is solved[:, k, i]
-        solved = np.empty((3, n_int, len(f)))
+        # node-major: interior node k of face i is column k F + i
+        blocks.append(np.empty((3, n_int * len(f))))
         step = -(-_CHUNK // n_int)
         for k in range(0, len(f), step):
             corners = (xyz.take(c, axis=1).T[None] for c in f[k:k + step].T)
-            solved[:, :, k:k + step] = np.moveaxis(
+            blocks[-1].reshape(3, n_int, -1)[:, :, k:k + step] = np.moveaxis(
                 _solve_interior(*corners, int_la[:, None], int_lb[:, None]), -1, 0
             )
-        blocks.append(solved.reshape(3, -1))
 
     points = np.concatenate(blocks, axis=1).T
+    del blocks
     expected = (n_vertices - 2) * gamma + 2
     if len(points) != expected:
         raise ConsistencyError(
@@ -640,20 +645,22 @@ def subdivide_mesh(mesh, pair):
     order = _canonical_permutation(points)
     certified = _is_hull(points, faces, known)
     del known
+    rank = np.empty(len(order), dtype=_INDEX)
+    rank[order] = np.arange(len(order), dtype=_INDEX)
+    faces, points = rank[faces] if certified else None, points[order]
+    del order, rank
     if certified:
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        faces = rank[faces]
-        hull = TriangleMesh(vertices=points[order], faces=_canonical_faces(faces))
+        hull = TriangleMesh(vertices=points, faces=_canonical_faces(faces))
     else:
-        hull = convex_hull_triangulation(points[order])
+        hull = convex_hull_triangulation(points)
         _half_edges(hull.faces, len(points))
-        a, b, c = _corners(hull.vertices, hull.faces)
-        if min(_dot(e, e).min() for e in (a - b, b - c, c - a)) <= DEDUP_TOL**2:
-            raise ConsistencyError(
-                f"subdivision produced points within {DEDUP_TOL:g} of each other "
-                f"for pair ({m},{n}) on a {n_vertices}-vertex mesh"
-            )
+        for lo in range(0, hull.n_faces, _CERT_CHUNK):
+            a, b, c = (points[x].T for x in hull.faces[lo:lo + _CERT_CHUNK].T)
+            if min(_dot(e, e).min() for e in (a - b, b - c, c - a)) <= DEDUP_TOL**2:
+                raise ConsistencyError(
+                    f"subdivision produced points within {DEDUP_TOL:g} of each other "
+                    f"for pair ({m},{n}) on a {n_vertices}-vertex mesh"
+                )
     return SphericalConfig(points=hull.vertices, pairs=((m, n),), mesh=hull)
 
 
@@ -665,7 +672,8 @@ def generate(base, pairs):
     are cocircular ties) is the next mesh, and the final one stays attached
     for metric evaluation.  Each pass checks its closed-form count, so the
     point count is 2 + (V0 - 2) * prod_k gamma(m_k, n_k); a count whose
-    730 B a point exceed physical memory raises ParameterError up front.
+    489 B a point exceed physical memory, or whose 6 N - 12 half-edge ids
+    exceed int32 (N > 357,913,943), raises ParameterError up front.
     """
     name = canonical_base_name(base)
     pair_list = [validate_pair(p) for p in pairs]
@@ -679,6 +687,8 @@ def generate(base, pairs):
             f"N={n} points need about {n * _BYTES_PER_POINT / 2**30:.3g} GiB, more "
             f"than the {memory / 2**30:.3g} GiB of physical memory"
         )
+    if 6 * n - 12 > np.iinfo(_INDEX).max + 1:
+        raise ParameterError(f"N={n} points have {6 * n - 12} half-edge ids; int32 holds 2^31")
     mesh = base_polyhedron(name)
     for pair in pair_list:
         mesh = subdivide_mesh(mesh, pair).mesh

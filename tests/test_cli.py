@@ -408,6 +408,22 @@ def test_sweep_turns_an_oversized_instance_into_an_error_row(no_allocation, caps
 def test_generate_refuses_what_the_memory_figure_cannot_hold(monkeypatch):
     figures = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 48}  # 192 KiB
     monkeypatch.setattr(os, "sysconf", figures.__getitem__)
-    # 482 points at 730 B a point need 351,860 B
-    with pytest.raises(ParameterError, match=r"N=482 .* 0\.000328 GiB, .* 0\.000183 GiB"):
+    # 482 points at 489 B a point need 235,698 B
+    with pytest.raises(ParameterError, match=r"N=482 .* 0\.00022 GiB, .* 0\.000183 GiB"):
         generate("icosa", [(1, 1), (4, 0)])
+
+
+def test_generate_refuses_more_points_than_int32_indices_allow(
+        no_allocation, monkeypatch, capsys):
+    # 1 PiB of memory, so only the index range refuses: a pass's 6 N - 12
+    # half-edge ids are int32, so N <= 357,913,943; tetra (m,0) has
+    # N = 2 m^2 + 2, 357,888,260 at m = 13,377 and 357,941,770 at 13,378
+    figures = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**38}
+    monkeypatch.setattr(os, "sysconf", figures.__getitem__)
+    assert run_cli("generate", "--base", "tetra", "--seq", "13378,0") == 2
+    assert "error: N=357941770 points have 2147650608 half-edge ids" in capsys.readouterr().err
+    rows = run_sweep("tetra", "l,0", 13378, 13378, n_cap=10**9)
+    assert [(r["l"], r["N"], r["mesh_ratio"]) for r in rows] == [(13378, "", "")]
+    assert "int32 holds 2^31" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="went on to build the base mesh"):
+        generate("tetra", [(13377, 0)])

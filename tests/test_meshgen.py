@@ -787,8 +787,9 @@ def test_lattice_template_twins_are_the_sorted_twins(base, first, pair):
 
 def test_a_certified_pass_peaks_near_its_output(monkeypatch):
     # traced bytes a point at N=122,882 on one CPU, where the certificate's
-    # _half_edges sets the peak: 325 measured, 3% allowed; one more int64
-    # array of a whole-mesh size adds 16 (a row a face) to 48 (a half-edge)
+    # _half_edges and _canonical_faces set the peak: 168 measured, 3%
+    # allowed; one more int32 array of a whole-mesh size adds 8 (a face) to
+    # 24 (a row a face, or a half-edge)
     pretend_cpus(monkeypatch, 1)
     mesh = generate("icosahedron", [(1, 1), (4, 0), (4, 0)]).mesh
     tracemalloc.start()
@@ -797,7 +798,32 @@ def test_a_certified_pass_peaks_near_its_output(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert n == 122_882 and peak / n <= 1.03 * 325
+    assert n == 122_882 and peak / n <= 1.03 * 168
+
+
+def test_meshes_have_int64_faces_and_validate_mesh_takes_any_integer_faces():
+    # a pass holds its indices in int32; every mesh handed out has int64 faces
+    meshes = [
+        base_polyhedron("octa"),
+        generate("icosa", [(1, 1), (4, 0)]).mesh,  # the certified lattice route
+        subdivide_mesh(base_polyhedron("tetra"), (1, 1)).mesh,  # refused: qhull
+        convex_hull_triangulation(spiral_points(100)),
+        convex_hull_triangulation(spiral_points(meshgen._LUNE_GATE)),  # lunes
+    ]
+    assert [m.faces.dtype for m in meshes] == [np.int64] * len(meshes)
+    v, f = meshes[1].vertices, meshes[1].faces
+    for faces in (f.astype(np.int32), f.tolist()):
+        validate_mesh(TriangleMesh(vertices=v, faces=faces))
+
+
+def test_half_edge_ids_beyond_the_index_dtype_are_refused(monkeypatch):
+    # with int8 ids, 128 fit: the octahedron's (2,0) pass has 32 faces and
+    # 96 half-edges, the icosahedron's 80 faces and 240
+    octa, icosa = (subdivide_mesh(base_polyhedron(b), (2, 0)).mesh for b in ("octa", "icosa"))
+    monkeypatch.setattr(meshgen, "_INDEX", np.int8)
+    assert len(meshgen._half_edges(octa.faces, octa.n_vertices)) == 48
+    with pytest.raises(GeometryError, match="240 half-edge ids; int32 holds"):
+        validate_mesh(icosa)
 
 
 def not_twins(known, upward):
