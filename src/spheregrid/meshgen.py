@@ -41,9 +41,9 @@ _CHUNK = 65_536
 #: dtype of a pass's vertex indices and half-edge ids, 3 F = 6 N - 12 of the latter
 _INDEX = np.int32
 
-#: faces or edges per batch of the hull certificate and of the metrics' face scan;
-#: the helper thread's own malloc arena adds about 500 B a row of a batch to the
-#: peak RSS, 4 MiB here against 16 MiB (13%) at 32,768 and N = 122,882
+#: rows per ``_chunked`` batch (the certificate's edges, ``_face_checks``, the metrics'
+#: face scan); the helper thread's own malloc arena adds about 500 B a row of a batch
+#: to the peak RSS, 4 MiB here against 16 MiB (13%) at 32,768 and N = 122,882
 _CERT_CHUNK = 8_192
 
 #: processes sharing this one's CPUs, set in each of ``run_sweep``'s workers
@@ -214,6 +214,15 @@ def base_polyhedron(name):
     return TriangleMesh(vertices=v, faces=_orient_outward(v, f))
 
 
+def _face_indices(faces, n_vertices):
+    """``faces`` as int32, or GeometryError unless an (F, 3) integer array in [0, V)."""
+    f = np.asarray(faces)
+    if (f.ndim != 2 or f.shape[1] != 3 or not np.issubdtype(f.dtype, np.integer)
+            or f.size and (f.min() < 0 or f.max() >= n_vertices)):
+        raise GeometryError(f"faces are not an (F, 3) integer array in [0, {n_vertices})")
+    return f.astype(_INDEX, copy=False)
+
+
 def _half_edges(faces, n_vertices, known=()):
     """The two half-edges of every edge of a closed, consistently oriented mesh.
 
@@ -224,11 +233,12 @@ def _half_edges(faces, n_vertices, known=()):
     then the rest sorted on their (lower, higher) vertex key.  In such a
     mesh every edge is traversed once in each direction, so the half-edges
     with i < j are the edges and the others exactly their reversals.
-    Raises GeometryError otherwise, when V - E + F != 2 or 3 F > 2^31.
+    Raises GeometryError otherwise, when V - E + F != 2 or 3 F > 2^31, and
+    from ``_face_indices``.
     """
-    if 3 * len(faces) > np.iinfo(_INDEX).max + 1:
-        raise GeometryError(f"{3 * len(faces)} half-edge ids; int32 holds 2^31")
-    f = np.asarray(faces, dtype=_INDEX)
+    f = _face_indices(faces, n_vertices)
+    if 3 * len(f) > np.iinfo(_INDEX).max + 1:
+        raise GeometryError(f"{3 * len(f)} half-edge ids; int32 holds 2^31")
     i, j = f.ravel(), np.roll(f, -1, axis=1).ravel()
     upward = i < j
     known = np.asarray(known, dtype=_INDEX).reshape(-1, 2)
@@ -265,14 +275,13 @@ def validate_mesh(mesh, sphere_tol=1e-12):
     """Assert a closed, consistently and outward oriented mesh of unit radii.
 
     Also checks the Euler characteristic; a non-finite vertex fails the
-    radius check.
+    radius check.  Orientation is ``_face_checks``' chunked excess scan.
     """
     v, f = mesh.vertices, mesh.faces
     if not np.all(np.abs(_norm(v.T) - 1.0) <= sphere_tol):
         raise GeometryError("mesh vertices are not on the unit sphere")
     _half_edges(f, len(v))
-    if np.any(_signed_excess(*_corners(v, f)) <= 0.0):
-        raise GeometryError("mesh has inward-facing faces")
+    _face_checks(np.ascontiguousarray(np.asarray(v, dtype=np.float64).T), np.asarray(f))
 
 
 def _canonical_faces(faces):
@@ -320,6 +329,20 @@ def _chunked(fn, n, chunk=_CERT_CHUNK):
     if errors:
         raise errors[min(errors)]
     return [values[k] for k in starts]
+
+
+def _face_checks(xyz, faces):
+    """The summed signed excess of ``faces`` on the (3, V) ``xyz`` and their least
+    squared edge chord, in ``_chunked`` chunks; GeometryError on an excess <= 0."""
+    def scan(lo, hi):
+        a, b, c = (xyz.take(x, axis=1) for x in faces[lo:hi].T)
+        excess = _signed_excess(a, b, c)
+        if not np.all(excess > 0.0):
+            raise GeometryError("mesh has inward-facing faces")
+        return excess.sum(), min(_dot(e, e).min() for e in (a - b, b - c, c - a))
+
+    turns, least = zip((0.0, np.inf), *_chunked(scan, len(faces)))  # (0.0, inf): no face
+    return sum(turns), min(least)
 
 
 def _lune_hull(points):
@@ -449,7 +472,8 @@ def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     T - w_y on z and -w_x on the neighbour's third vertex.  Returns the
     int32 triangles, each face's n_sure "sure" ones (no centroid weight 0)
     first, and the int32 twins the template fixes: sides joining two sure
-    triangles, 3 (f n_sure + t) + k and 3 (f n_sure + t') + k' for face f.
+    triangles, 3 (f n_sure + t) + k and 3 (f n_sure + t') + k' for face f,
+    matched once on face 0's packed directed sides by ``np.intersect1d``.
     """
     m, n = pair
     t, g = m * m + m * n + n * n, math.gcd(m, n)
@@ -509,23 +533,16 @@ def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     low_high = (faces < nxt)[:, (tie[~sure].argmax(axis=1) + 1) % 3]
     n_sure = len(faces) * int(sure.sum())
     lattice = np.empty((n_sure + int(low_high.sum()), 3), dtype=_INDEX)
-    np.take(table, cols[sure], axis=1, out=lattice[:n_sure].reshape(len(faces), -1, 3))
+    face_0 = np.take(table, cols[sure], axis=1, out=lattice[:n_sure].reshape(len(faces), -1, 3))[0]
     lattice[n_sure:] = table[:, cols[~sure]][low_high]
-    # side k of a sure triangle walks P_k -> P_k+1; across it lies the
-    # triangle whose corner sum (3 x its centroid, so unique) is
-    # 2 (P_k + P_k+1) - P_k+2, and if that is sure, its side from P_k+1 is
-    # the twin.  Negative sums index the grid from its end, out of reach of
-    # the non-negative ones
-    ts = tri[sure]
-    cell = np.full((3 * (m + n + 4) + 1,) * 2, len(ts))
-    cell[tuple(ts.sum(axis=1).T)] = np.arange(len(ts))
-    p1 = np.roll(ts, -1, axis=1)
-    across = cell[tuple((2 * (ts + p1) - np.roll(ts, 1, axis=1)).T)].T
-    row, side = np.nonzero(across < len(ts))
-    row1 = across[row, side]
-    side1 = np.all(ts[row1] == p1[row, side, None], axis=-1).argmax(axis=1)
-    twins = np.stack([3 * row + side, 3 * row1 + side1], axis=-1)[row < row1].astype(_INDEX)
-    faces_at = 3 * len(ts) * np.arange(len(faces), dtype=_INDEX)
+    # side k of a sure triangle walks P_k -> P_k+1, its twin walks it back; two sure
+    # triangles share a side alike in every face, so face 0's sides are matched once
+    a = face_0.astype(np.int64)
+    b, size = np.roll(a, -1, axis=1), first + len(faces) * n_int
+    _, side, back = np.intersect1d(a * size + b, b * size + a, assume_unique=True,
+                                   return_indices=True)
+    twins = np.stack([side, back], axis=-1)[side < back].astype(_INDEX)
+    faces_at = 3 * len(a) * np.arange(len(faces), dtype=_INDEX)
     return lattice, (faces_at[:, None, None] + twins).reshape(-1, 2)
 
 
@@ -538,9 +555,9 @@ def _is_hull(points, faces, known=()):
     the apex d across edge a -> b of face (a, b, c), a the edge's lower
     index, lies below its plane, Shewchuk's orient3d(a, b, c, d) > 0
     beyond his static error bound, so a cocircular tie is left to qhull;
-    every face faces outward; and the solid angles add up to 4 pi, so no
-    vertex star winds twice.  The shortest edge must exceed DEDUP_TOL;
-    nearest neighbours are hull edges.
+    and ``_face_checks`` finds every face outward, the solid angles adding
+    up to 4 pi, so no vertex star winds twice, and the shortest edge
+    longer than DEDUP_TOL; nearest neighbours are hull edges.
     """
     def edges(lo, hi):
         h = half[lo:hi]
@@ -551,16 +568,8 @@ def _is_hull(points, faces, known=()):
             p, q = v[0] * w[1], w[0] * v[1]
             det = det + (p - q) * u[2]
             permanent = permanent + (np.abs(p) + np.abs(q)) * np.abs(u[2])
-        convex = np.all(det > _O3D_ERRBOUND * permanent)
-        if not (convex and np.all(_dot(a - b, a - b) > DEDUP_TOL**2)):
-            raise GeometryError("edge not convex or too short")
-
-    def turn(lo, hi):
-        tri = faces[lo:hi]
-        excess = _signed_excess(*(xyz.take(tri[:, i], axis=1) for i in range(3)))
-        if not np.all(excess > 0.0):
-            raise GeometryError("face not outward")
-        return excess.sum()
+        if not np.all(det > _O3D_ERRBOUND * permanent):
+            raise GeometryError("edge not convex")
 
     try:
         half = _half_edges(faces, len(points), known)
@@ -568,10 +577,10 @@ def _is_hull(points, faces, known=()):
         corner, apex = faces.ravel(), np.roll(faces, 1, axis=1).ravel()
         xyz = np.ascontiguousarray(points.T)
         _chunked(edges, len(half))
-        turns = _chunked(turn, len(faces))
+        total, least = _face_checks(xyz, faces)
     except GeometryError:
         return False
-    return abs(sum(turns) - 4.0 * np.pi) < 2.0 * np.pi
+    return least > DEDUP_TOL**2 and abs(total - 4.0 * np.pi) < 2.0 * np.pi
 
 
 def subdivide_mesh(mesh, pair):
@@ -590,17 +599,17 @@ def subdivide_mesh(mesh, pair):
     pass (``_lattice_faces``) when they pass the hull certificate, else
     qhull's hull of the ordered points.  The count is checked against the
     closed form (V - 2) * (m^2 + n^2 + m n) + 2, and the shortest hull edge
-    against DEDUP_TOL (nearest neighbours are hull edges; the certificate
-    checks it on the lattice route); either failure raises
-    ConsistencyError.  A qhull hull that is not closed with V - E + F = 2
-    raises GeometryError, as the certificate refuses such a lattice mesh.
+    against DEDUP_TOL (nearest neighbours are hull edges); either failure
+    raises ConsistencyError.  A qhull hull that is not closed with
+    V - E + F = 2, or has an inward face, raises GeometryError, as the
+    certificate refuses such a lattice mesh (``_face_checks`` on both).
     """
     m, n = validate_pair(pair)
     xyz = np.ascontiguousarray(np.asarray(mesh.vertices, dtype=np.float64).T)
-    f = np.asarray(mesh.faces, dtype=_INDEX)
     if not np.all(np.abs(_norm(xyz) - 1.0) <= 1e-12):
         raise GeometryError("mesh vertices must lie on the unit sphere")
     n_vertices = xyz.shape[1]
+    f = _face_indices(mesh.faces, n_vertices)
     gamma = triangulation_number(m, n)
     gc = math.gcd(m, n)
 
@@ -654,14 +663,21 @@ def subdivide_mesh(mesh, pair):
     else:
         hull = convex_hull_triangulation(points)
         _half_edges(hull.faces, len(points))
-        for lo in range(0, hull.n_faces, _CERT_CHUNK):
-            a, b, c = (points[x].T for x in hull.faces[lo:lo + _CERT_CHUNK].T)
-            if min(_dot(e, e).min() for e in (a - b, b - c, c - a)) <= DEDUP_TOL**2:
-                raise ConsistencyError(
-                    f"subdivision produced points within {DEDUP_TOL:g} of each other "
-                    f"for pair ({m},{n}) on a {n_vertices}-vertex mesh"
-                )
+        if _face_checks(np.ascontiguousarray(points.T), hull.faces)[1] <= DEDUP_TOL**2:
+            raise ConsistencyError(
+                f"subdivision produced points within {DEDUP_TOL:g} of each other "
+                f"for pair ({m},{n}) on a {n_vertices}-vertex mesh"
+            )
     return SphericalConfig(points=hull.vertices, pairs=((m, n),), mesh=hull)
+
+
+def _figure(num, den=1):
+    """An int num in full below 10^15, else num / den as ``.3g`` gives it, from
+    logarithms where a float or an int's str cannot hold it."""
+    if den == 1 and num < 10**15:
+        return str(num)
+    exp = math.log10(num) - math.log10(den)
+    return f"{num / den:.3g}" if exp < 300 else f"{10 ** (exp % 1):.3g}e+{math.floor(exp)}"
 
 
 def generate(base, pairs):
@@ -684,11 +700,13 @@ def generate(base, pairs):
               if hasattr(os, "sysconf") else math.inf)  # Windows has no figure
     if n * _BYTES_PER_POINT > memory:
         raise ParameterError(
-            f"N={n} points need about {n * _BYTES_PER_POINT / 2**30:.3g} GiB, more "
-            f"than the {memory / 2**30:.3g} GiB of physical memory"
+            f"N={_figure(n)} points need about {_figure(n * _BYTES_PER_POINT, 2**30)} GiB, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
         )
     if 6 * n - 12 > np.iinfo(_INDEX).max + 1:
-        raise ParameterError(f"N={n} points have {6 * n - 12} half-edge ids; int32 holds 2^31")
+        raise ParameterError(
+            f"N={_figure(n)} points have {_figure(6 * n - 12)} half-edge ids; int32 holds 2^31"
+        )
     mesh = base_polyhedron(name)
     for pair in pair_list:
         mesh = subdivide_mesh(mesh, pair).mesh

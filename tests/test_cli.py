@@ -399,6 +399,26 @@ def test_generate_refuses_a_sequence_beyond_physical_memory(no_allocation, capsy
     assert capsys.readouterr().err.count(f"error: N={n} points need about") == 2
 
 
+@pytest.mark.parametrize(
+    "seq,n,gib,ids",
+    [("(4,0)^300", "1.72e+362", "7.84e+355", "1.03e+363"),
+     ("(4,0)^4000", "3.02e+4817", "1.38e+4811", "1.81e+4818")],
+)
+def test_an_n_no_float_or_str_holds_is_refused_with_exit_2(
+        no_allocation, monkeypatch, capsys, seq, n, gib, ids):
+    # N = 2 + 10 * 16^k overflows a float from k = 256 on, and passes
+    # Python's 4,300 digits of an int's str at k = 4,000
+    for command in ("generate", "metrics"):
+        assert run_cli(command, "--seq", seq) == 2
+    assert capsys.readouterr().err.count(f"error: N={n} points need about {gib} GiB") == 2
+    # memory enough, so only the index range refuses
+    figures = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 10**5000}
+    monkeypatch.setattr(os, "sysconf", figures.__getitem__)
+    for command in ("generate", "metrics"):
+        assert run_cli(command, "--seq", seq) == 2
+    assert capsys.readouterr().err.count(f"error: N={n} points have {ids} half-edge ids") == 2
+
+
 def test_sweep_turns_an_oversized_instance_into_an_error_row(no_allocation, capsys):
     rows = run_sweep("icosa", "1,1;(4,0)^l", 9, 9, n_cap=10**13)
     assert [(r["l"], r["N"], r["mesh_ratio"]) for r in rows] == [(9, "", "")]
