@@ -14,6 +14,7 @@ parent edge; the lattice template pairs the rest.
 """
 
 import concurrent.futures
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -131,13 +132,10 @@ def base_vertex_count(name):
 
 
 def expected_cardinality(base, pairs):
-    """Closed-form point count: 2 + (V0 - 2) * prod of triangulation numbers."""
+    """Closed-form point count: 2 + (V0 - 2) * prod T(m, n)^k over runs of k equal pairs."""
     v0 = base_vertex_count(base)
-    prod = 1
-    for pair in pairs:
-        m, n = validate_pair(pair)
-        prod *= triangulation_number(m, n)
-    return 2 + (v0 - 2) * prod
+    runs = itertools.groupby(map(validate_pair, pairs))
+    return 2 + (v0 - 2) * math.prod(triangulation_number(*p) ** len(list(r)) for p, r in runs)
 
 
 def _corners(vertices, faces):

@@ -54,10 +54,11 @@ def _expand(entries, l=None):
     for m, n, k, i, token in entries:
         m, n, k = (l if v == "l" else int(v) for v in (m, n, k))
         try:
-            pair = validate_pair((m, n))
+            if len(pairs) + k > 10**6:
+                raise ParameterError("a sequence holds at most 10^6 pairs")
+            pairs.extend([validate_pair((m, n))] * k)
         except ParameterError as exc:
             raise SequenceParseError(f"at position {i} ({token!r}): {exc}") from None
-        pairs.extend([pair] * k)
     return tuple(pairs)
 
 

@@ -419,6 +419,14 @@ def test_an_n_no_float_or_str_holds_is_refused_with_exit_2(
     assert capsys.readouterr().err.count(f"error: N={n} points have {ids} half-edge ids") == 2
 
 
+def test_a_million_pair_sequence_is_refused_at_once(no_allocation, capsys):
+    # one power 16^1000000 for the run, not a million big-int products
+    for command in ("generate", "metrics"):
+        assert run_cli(command, "--seq", "(4,0)^1000000") == 2
+    message = "error: N=9.61e+1204120 points need about 4.38e+1204114 GiB"
+    assert capsys.readouterr().err.count(message) == 2
+
+
 def test_sweep_turns_an_oversized_instance_into_an_error_row(no_allocation, capsys):
     rows = run_sweep("icosa", "1,1;(4,0)^l", 9, 9, n_cap=10**13)
     assert [(r["l"], r["N"], r["mesh_ratio"]) for r in rows] == [(9, "", "")]

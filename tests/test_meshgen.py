@@ -101,6 +101,17 @@ def test_subdivide_cardinality(base, pair, expected):
     assert cfg.n == expected == expected_cardinality(base, [pair])
 
 
+def test_expected_cardinality_takes_one_power_a_run_of_equal_pairs():
+    with recording("triangulation_number") as calls:
+        n = expected_cardinality("icosa", [(1, 1)] + [(4, 0)] * 1000)
+    assert calls == [(1, 1), (4, 0)] and n == 2 + 30 * 16**1000
+    assert expected_cardinality("icosa", [(4, 0), (3, 0), (4, 0)]) == 2 + 10 * 16 * 9 * 16
+    assert expected_cardinality("octa", np.array([[2, 1], [2, 1], [3, 0]])) == 2 + 4 * 7 * 7 * 9
+    # pairs are validated in order, so the first invalid one is named
+    with pytest.raises(ParameterError, match=r"pair \(2,3\) violates"):
+        expected_cardinality("icosa", [(4, 0), (4, 0), (2, 3), (2, 3), (0, 0)])
+
+
 def test_subdivide_points_are_distinct_unit_vectors():
     cfg = subdivide_mesh(base_polyhedron("icosahedron"), (4, 2))
     assert np.all(np.abs(np.linalg.norm(cfg.points, axis=1) - 1.0) < 1e-12)

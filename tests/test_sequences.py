@@ -16,6 +16,7 @@ from spheregrid.sequences import SequenceParseError
         (" 1 , 1 ; ( 4 , 0 ) ^ 2 ", ((1, 1), (4, 0), (4, 0))),
         ("(15,2)^1", ((15, 2),)),
         ("(3,1)", ((3, 1),)),
+        ("(4,0)^1000000", ((4, 0),) * 10**6),
     ],
 )
 def test_parse_sequence(text, expected):
@@ -24,7 +25,8 @@ def test_parse_sequence(text, expected):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "5", "5,0;", "a,b", "1,1;(2,0)^0", "2,3", "0,0", "5,0^2", "(5,0)^-1"],
+    ["", "5", "5,0;", "a,b", "1,1;(2,0)^0", "2,3", "0,0", "5,0^2", "(5,0)^-1",
+     "(4,0)^1000001", "(4,0)^500000;(4,0)^500001"],
 )
 def test_parse_sequence_rejects(text):
     with pytest.raises(SequenceParseError):
@@ -36,6 +38,9 @@ def test_parse_error_pinpoints_position():
         parse_sequence("5,0;x,y;1,0")
     with pytest.raises(SequenceParseError, match="position 3"):
         parse_sequence("5,0;1,0;1,2")
+    # the pair count is bounded before a run is expanded, in a family's instances too
+    with pytest.raises(SequenceParseError, match=r"position 2 .*at most 10\^6 pairs"):
+        parse_family("1,1;(4,0)^l").instantiate(10**6)
 
 
 def test_format_sequence_compresses_runs():
