@@ -57,10 +57,10 @@ _BYTES_PER_POINT = 489
 _LUNE_GATE = 16_384
 _LUNES = 8
 
-#: a lune reaches max(_LUNE_OVERLAP, _LUNE_REACH / sqrt(N)) past its sector:
-#: the widest empty caps of N uniform random points shrink only like
-#: sqrt(log N / N), and at N = 16,384 such sets need about 0.09 to certify
-_LUNE_OVERLAP = 0.05
+#: a lune reaches _LUNE_REACH / sqrt(N) past its sector: the widest empty caps of N
+#: uniform random points shrink only like sqrt(log N / N); 10 seeded uniform sets each
+#: of 16,384 (which need about 0.09), 60k and 200k points, 3 of 1M, tetra and icosa
+#: 200,0 and a turned, permuted icosa 1,1;(4,0)^3 certify in 8 lunes at this reach
 _LUNE_REACH = 12.0
 
 #: Shewchuk's static orient3d error bound, (7 + 56 eps) eps with eps = 2^-53
@@ -348,16 +348,16 @@ def _lune_hull(points):
 
     Lune k holds the points on the sector side of both planes through the
     z axis at longitudes -pi + 2 pi k / _LUNES and -pi + 2 pi (k + 1) /
-    _LUNES, or less than max(_LUNE_OVERLAP, _LUNE_REACH / sqrt(N)) beyond
-    one of them.  It keeps the faces of its qhull hull whose centroid's
-    atan2 falls in its sector; a face of two lunes, rolled to its smallest
-    index, has the same bits in both, so exactly one keeps it.  A union
-    that ``_is_hull`` certifies has every edge strictly convex, so it is
-    the unique hull.  None when a lune has fewer than 4 points, qhull fails
-    on one, or ``_is_hull`` refuses the union.
+    _LUNES, or less than _LUNE_REACH / sqrt(N) beyond one of them.  It keeps
+    the faces of its qhull hull whose centroid's atan2 falls in its sector,
+    the corners summed in ascending index order; a face of two lunes has
+    the same bits in both, so exactly one keeps it.  A union that
+    ``_is_hull`` certifies has every edge strictly convex, so it is the
+    unique hull.  None when a lune has fewer than 4 points, qhull fails on
+    one, or ``_is_hull`` refuses the union.
     """
     x, y = points[:, 0], points[:, 1]
-    reach = max(_LUNE_OVERLAP, _LUNE_REACH / math.sqrt(len(points)))
+    reach = _LUNE_REACH / math.sqrt(len(points))
     edge = -np.pi + 2.0 * np.pi * np.arange(_LUNES + 1) / _LUNES
     # y cos t - x sin t is the signed distance from the plane at longitude
     # t, positive on its counterclockwise side; a non-finite point still
@@ -372,11 +372,10 @@ def _lune_hull(points):
         return None
 
     def kept(k, _):
-        # lune ids ascend, so a face rolls alike in local and global ids
+        # lune ids ascend, so a face's corners sort alike in local and global ids
         part = points[lunes[k]]
-        hull = ConvexHull(part, qhull_options="Q5")
-        local = _canonical_faces(_orient_outward(part, hull.simplices))
-        a, b, c = _corners(part, local)
+        local = _orient_outward(part, ConvexHull(part, qhull_options="Q5").simplices)
+        a, b, c = _corners(part, np.sort(local, axis=1))
         centroid = a + b + c
         sector = np.floor(
             (np.arctan2(centroid[1], centroid[0]) + np.pi) * (_LUNES / (2.0 * np.pi))
@@ -391,11 +390,11 @@ def _lune_hull(points):
 
 
 def convex_hull_triangulation(points):
-    """Convex hull of on-sphere points as an outward-oriented triangle mesh.
-
-    Faces index the input array, whose order is preserved.  Each face row
-    starts at its smallest index and the rows are sorted, as in
-    ``subdivide_mesh``'s lattice meshes; ``subdivide_mesh`` calls it only
+    """Convex hull of on-sphere points as a triangle mesh, every face facing
+    away from the origin (so not consistently oriented for a set that does
+    not surround it).  Faces index the input array, whose order is kept.
+    Each face row starts at its smallest index and the rows are sorted, as
+    in ``subdivide_mesh``'s lattice meshes; ``subdivide_mesh`` calls it only
     for a pass whose lattice mesh the certificate refuses, and ``export``
     and ``metrics --in`` for points read from a file.  Coplanar facet patches
     (several hull points on a common plane circle) come out triangulated
@@ -592,7 +591,8 @@ def subdivide_mesh(mesh, pair):
     arc-length rule for edge nodes depends only on the edge's endpoints,
     so the two faces sharing an edge always agree on its nodes.
 
-    The result's ``mesh`` is the hull of its points, faces as
+    ``_check_size`` refuses the pass's N up front.  The result's ``mesh`` is
+    the hull of its points, faces as
     ``convex_hull_triangulation`` orders them: the lattice triangles of the
     pass (``_lattice_faces``) when they pass the hull certificate, else
     qhull's hull of the ordered points.  The count is checked against the
@@ -610,6 +610,7 @@ def subdivide_mesh(mesh, pair):
     f = _face_indices(mesh.faces, n_vertices)
     gamma = triangulation_number(m, n)
     gc = math.gcd(m, n)
+    _check_size((n_vertices - 2) * gamma + 2)
 
     pts = lattice_points(m, n)
     alpha, beta = _bary_numerators(pts, m, n)
@@ -678,22 +679,9 @@ def _figure(num, den=1):
     return f"{num / den:.3g}" if exp < 300 else f"{10 ** (exp % 1):.3g}e+{math.floor(exp)}"
 
 
-def generate(base, pairs):
-    """Full pipeline: base polyhedron refined by a sequence of integer pairs.
-
-    Each pass subdivides the current mesh; its hull (the certified lattice
-    mesh, else qhull's, as for the tetrahedron's (1,1), whose cube faces
-    are cocircular ties) is the next mesh, and the final one stays attached
-    for metric evaluation.  Each pass checks its closed-form count, so the
-    point count is 2 + (V0 - 2) * prod_k gamma(m_k, n_k); a count whose
-    489 B a point exceed physical memory, or whose 6 N - 12 half-edge ids
-    exceed int32 (N > 357,913,943), raises ParameterError up front.
-    """
-    name = canonical_base_name(base)
-    pair_list = [validate_pair(p) for p in pairs]
-    if len(pair_list) == 0:
-        raise ParameterError("sequence must contain at least one integer pair")
-    n = expected_cardinality(name, pair_list)
+def _check_size(n):
+    """ParameterError when n points' 489 B each exceed physical memory, or
+    their 6 n - 12 half-edge ids exceed int32 (n > 357,913,943)."""
     memory = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
               if hasattr(os, "sysconf") else math.inf)  # Windows has no figure
     if n * _BYTES_PER_POINT > memory:
@@ -705,8 +693,26 @@ def generate(base, pairs):
         raise ParameterError(
             f"N={_figure(n)} points have {_figure(6 * n - 12)} half-edge ids; int32 holds 2^31"
         )
+
+
+def generate(base, pairs):
+    """Full pipeline: base polyhedron refined by a sequence of integer pairs.
+
+    Each pass subdivides the current mesh; its hull (the certified lattice
+    mesh, else qhull's, as for the tetrahedron's (1,1), whose cube faces
+    are cocircular ties) is the next mesh, and the final one stays attached
+    for metric evaluation.  Each pass checks its closed-form count, so the
+    point count is 2 + (V0 - 2) * prod_k gamma(m_k, n_k); ``_check_size``
+    refuses that count up front.  A (1,0) pass returns the hull it is given,
+    so only a first one, which puts the base in canonical order, runs.
+    """
+    name = canonical_base_name(base)
+    pair_list = [validate_pair(p) for p in pairs]
+    if len(pair_list) == 0:
+        raise ParameterError("sequence must contain at least one integer pair")
+    _check_size(expected_cardinality(name, pair_list))
     mesh = base_polyhedron(name)
-    for pair in pair_list:
+    for pair in pair_list[:1] + [p for p in pair_list[1:] if p != (1, 0)]:
         mesh = subdivide_mesh(mesh, pair).mesh
     return SphericalConfig(
         points=mesh.vertices, base=name, pairs=tuple(pair_list), mesh=mesh

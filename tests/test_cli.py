@@ -17,8 +17,10 @@ from spheregrid import (
     ConsistencyError,
     GeometryError,
     ParameterError,
+    base_polyhedron,
     expected_cardinality,
     generate,
+    subdivide_mesh,
 )
 from spheregrid.cli import main, read_config_csv, run_sweep, write_config_csv, write_obj
 from oracle import spiral_points
@@ -439,6 +441,27 @@ def test_generate_refuses_what_the_memory_figure_cannot_hold(monkeypatch):
     # 482 points at 489 B a point need 235,698 B
     with pytest.raises(ParameterError, match=r"N=482 .* 0\.00022 GiB, .* 0\.000183 GiB"):
         generate("icosa", [(1, 1), (4, 0)])
+
+
+def test_subdivide_mesh_refuses_an_oversized_pass_before_it_lays_the_lattice(monkeypatch):
+    def tripwire(m, n):
+        raise AssertionError("subdivide_mesh went on to lay the lattice")
+
+    figures = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}  # 64 KiB
+    monkeypatch.setattr(os, "sysconf", figures.__getitem__)
+    monkeypatch.setattr(meshgen, "lattice_points", tripwire)
+    # 162 points at 489 B a point need 79,218 B
+    message = "N=162 points need about 7.38e-05 GiB, more than the 6.1e-05 GiB"
+    for build in (lambda: generate("icosa", [(4, 0)]),
+                  lambda: subdivide_mesh(base_polyhedron("icosa"), (4, 0))):
+        with pytest.raises(ParameterError, match=message):
+            build()
+    figures["SC_PHYS_PAGES"] = 2**38  # 1 PiB, so only the index range refuses
+    message = "N=357941770 points have 2147650608 half-edge ids; int32 holds 2"
+    for build in (lambda: generate("tetra", [(13378, 0)]),
+                  lambda: subdivide_mesh(base_polyhedron("tetra"), (13378, 0))):
+        with pytest.raises(ParameterError, match=message):
+            build()
 
 
 def test_generate_refuses_more_points_than_int32_indices_allow(

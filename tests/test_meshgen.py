@@ -85,6 +85,13 @@ def test_subdivide_identity_pair_keeps_vertices():
         assert cfg.n == mesh.n_vertices
         got = sorted(map(tuple, cfg.points))
         assert got == sorted(map(tuple, mesh.vertices))
+        # a pass's hull is in canonical order, so (1,0) changes no bit of it,
+        # on the certified route and on qhull's (tetra 1,1 and 5,0)
+        for pairs in ([(1, 1)], [(2, 1), (5, 0)]):
+            hull = generate(name, pairs).mesh
+            again = subdivide_mesh(hull, (1, 0)).mesh
+            assert again.vertices.tobytes() == hull.vertices.tobytes()
+            assert again.faces.tobytes() == hull.faces.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -640,6 +647,11 @@ def uniform_20k():
     return uniform_points(20_000, 5)
 
 
+def uniform_100k():
+    # the lunes reach 12 / sqrt(N) = 0.038 past their sectors
+    return uniform_points(100_000, 7)
+
+
 def upper_hemisphere():
     points = uniform_points(40_000, 5)
     return points[points[:, 2] > 0.0]
@@ -669,7 +681,7 @@ def equator():
     return np.column_stack([np.cos(t), np.sin(t), 0.0 * t])
 
 
-@pytest.mark.parametrize("make", [turned_icosa_64, uniform_20k])
+@pytest.mark.parametrize("make", [turned_icosa_64, uniform_20k, uniform_100k])
 def test_lune_hull_equals_the_whole_set_hull(make):
     points = make()
     with counting_qhull() as calls:
@@ -934,3 +946,17 @@ def test_certified_pass_sorts_only_its_parent_edge_half_edges(pairs, shares):
         faces *= m * m + m * n + n * n
         assert child[0] == faces and child[1] <= share * 3 * faces
     assert len(sorted_counts) == 2 * len(pairs)
+
+
+@pytest.mark.parametrize(
+    "pairs,runs",
+    [([(1, 1)] + [(1, 0)] * 1000, [(1, 1)]),  # 1,000 (1,0) passes would take 1 s
+     ([(1, 0), (1, 1), (1, 0), (4, 0)], [(1, 0), (1, 1), (4, 0)])],
+)
+def test_an_identity_pass_after_the_first_is_skipped(pairs, runs):
+    with recording("subdivide_mesh") as calls:
+        cfg = generate("icosa", pairs)
+    assert [pair for _, pair in calls] == runs and cfg.pairs == tuple(pairs)
+    want = generate("icosa", runs)
+    assert cfg.points.tobytes() == want.points.tobytes()
+    assert cfg.mesh.faces.tobytes() == want.mesh.faces.tobytes()
