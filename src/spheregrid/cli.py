@@ -83,12 +83,12 @@ def read_config_csv(path):
         warnings.simplefilter("ignore", UserWarning)  # the line reader reports no rows
         try:
             pts = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                             dtype=np.float64, encoding="utf-8")
+                             dtype=np.float64, encoding="utf-8-sig")
         except ValueError:
             pts = np.empty((0, 0))
     if pts.shape[1:] != (3,) or len(pts) == 0:
         rows = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:

@@ -19,13 +19,13 @@ PLANE_BASIS = np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
 def validate_pair(pair):
     """Check an integer pair (m, n) and return it as a tuple of ints.
 
-    Raises ParameterError unless m >= n, m > 0 and n >= 0.
+    Raises ParameterError unless two integers with m >= n, m > 0 and n >= 0.
     """
     try:
         m, n = pair
-    except (TypeError, ValueError) as exc:
+        m_i, n_i = int(m), int(n)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"integer pair expected, got {pair!r}") from exc
-    m_i, n_i = int(m), int(n)
     if m_i != m or n_i != n:
         raise ParameterError(f"integer pair expected, got {pair!r}")
     if m_i <= 0 or n_i < 0 or m_i < n_i:

@@ -39,7 +39,7 @@ DEDUP_TOL = 1e-9
 #: interior solve batch size, bounds peak memory of the solver temporaries
 _CHUNK = 65_536
 
-#: dtype of a pass's vertex indices and half-edge ids, 3 F = 6 N - 12 of the latter
+#: dtype of every mesh's faces and of a pass's half-edge ids, 3 F = 6 N - 12 of the latter
 _INDEX = np.int32
 
 #: rows per ``_chunked`` batch (the certificate's edges, ``_face_checks``, the metrics'
@@ -82,8 +82,9 @@ _BASE_VERTEX_COUNT = {"tetrahedron": 4, "octahedron": 6, "icosahedron": 12}
 class TriangleMesh:
     """Closed triangulated mesh with unit-sphere vertices.
 
-    ``vertices`` is (V, 3) float64; ``faces`` is (F, 3) int64 with each
-    face counterclockwise as seen from outside.
+    ``vertices`` is (V, 3) float64; ``faces`` is (F, 3) int32 with each
+    face counterclockwise as seen from outside.  Cast two indices to int64
+    before packing them into one key, as the package does itself.
     """
 
     vertices: np.ndarray
@@ -170,7 +171,7 @@ def base_polyhedron(name):
         v = np.array(
             [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
         ) / math.sqrt(3.0)
-        f = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]], dtype=np.int64)
+        f = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]], dtype=_INDEX)
     elif name == "octahedron":
         v = np.array(
             [
@@ -182,10 +183,7 @@ def base_polyhedron(name):
                 [0.0, 0.0, -1.0],
             ]
         )
-        f = np.array(
-            [[x, y, z] for x in (0, 1) for y in (2, 3) for z in (4, 5)],
-            dtype=np.int64,
-        )
+        f = np.array([[x, y, z] for x in (0, 1) for y in (2, 3) for z in (4, 5)], dtype=_INDEX)
     else:
         zr = 1.0 / math.sqrt(5.0)
         rr = 2.0 / math.sqrt(5.0)
@@ -207,13 +205,14 @@ def base_polyhedron(name):
             f.append((1 + k, 6 + k, 1 + k1))
             f.append((1 + k1, 6 + k, 6 + k1))
             f.append((11, 6 + k1, 6 + k))
-        f = np.array(f, dtype=np.int64)
+        f = np.array(f, dtype=_INDEX)
     v = project_to_sphere(v)
     return TriangleMesh(vertices=v, faces=_orient_outward(v, f))
 
 
 def _face_indices(faces, n_vertices):
-    """``faces`` as int32, or GeometryError unless an (F, 3) integer array in [0, V)."""
+    """``faces`` as int32, uncopied if they are, or GeometryError unless an (F, 3)
+    integer array in [0, V)."""
     f = np.asarray(faces)
     if (f.ndim != 2 or f.shape[1] != 3 or not np.issubdtype(f.dtype, np.integer)
             or f.size and (f.min() < 0 or f.max() >= n_vertices)):
@@ -287,7 +286,7 @@ def _canonical_faces(faces):
 
     The sort key is the directed edge from a face's first to its second
     vertex, which no other face of a closed oriented mesh walks; temporaries
-    are freed once read, and rows widen to int64 in the sorted gather.
+    are freed once read, and rows keep their int32 dtype.
     """
     rolled, first = faces.copy(), faces.argmin(axis=1)
     for k in (1, 2):
@@ -298,7 +297,7 @@ def _canonical_faces(faces):
     key += rolled[:, 1]
     order = np.argsort(key)
     del key
-    return rolled[order].astype(np.int64)
+    return rolled[order]
 
 
 def _chunked(fn, n, chunk=_CERT_CHUNK):

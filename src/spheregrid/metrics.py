@@ -135,18 +135,12 @@ def covering(config):
     circumcentre directions (the spherical Voronoi vertices), so the
     result is the largest facet circumradius chord.
     """
-    cov = _face_scan(_as_config(config).hull())[1]
-    if cov is None:
-        raise GeometryError(_OUTSIDE)
-    return cov
+    return evaluate(config).covering
 
 
 def mesh_ratio(config):
     """covering / separation, from one scan of the hull's faces; lower is better."""
-    sep, cov, _ = _face_scan(_as_config(config).hull())
-    if cov is None:
-        raise GeometryError(_OUTSIDE)
-    return cov / sep
+    return evaluate(config).mesh_ratio
 
 
 def edge_ratios(mesh):

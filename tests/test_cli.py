@@ -366,6 +366,20 @@ def test_reader_parses_whitespace_lines_like_a_clean_file(tmp_path):
     assert read_config_csv(spaced).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("tail", ["", " \n"])  # numpy's parse, the line reader's
+def test_reader_takes_a_utf8_byte_order_mark(tmp_path, capsys, tail):
+    # spreadsheet "CSV UTF-8" exports start with one
+    cfg = generate("octa", [(3, 1)])
+    buf = io.StringIO()
+    write_config_csv(cfg.points, buf)
+    plain = config_file(tmp_path, buf.getvalue())
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (buf.getvalue() + tail).encode())
+    assert read_config_csv(str(bom)).tobytes() == read_config_csv(plain).tobytes()
+    assert run_cli("metrics", "--in", str(bom)) == 0
+    assert "n=54" in capsys.readouterr().out
+
+
 def test_reader_parses_like_float_bit_for_bit(tmp_path):
     rng = np.random.default_rng(11)
     rows = rng.standard_normal((40, 3))

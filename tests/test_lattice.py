@@ -10,6 +10,7 @@ from spheregrid import (
     ParameterError,
     barycentric_coords,
     base_polyhedron,
+    generate,
     lattice_points,
     subdivide_mesh,
     to_plane,
@@ -103,12 +104,19 @@ def test_lattice_points_sorted_and_unique():
     assert as_tuples == sorted(set(as_tuples))
 
 
-@pytest.mark.parametrize("bad", [(0, 0), (1, 2), (-1, 0), (3, -1)])
+@pytest.mark.parametrize(
+    "bad",
+    # int() refuses the last five with ValueError, OverflowError or TypeError
+    [(0, 0), (1, 2), (-1, 0), (3, -1),
+     (float("nan"), 0), (float("inf"), 0), (None, 0), ((4,), 0), ("a", 0)],
+)
 def test_invalid_pairs_rejected(bad):
     with pytest.raises(ParameterError):
         validate_pair(bad)
     with pytest.raises(ParameterError):
         lattice_points(*bad)
+    with pytest.raises(ParameterError):
+        generate("icosa", [bad])
 
 
 def test_barycentric_vertices_and_exactness():

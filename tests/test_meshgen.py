@@ -860,8 +860,9 @@ def test_a_certified_pass_peaks_near_its_output(monkeypatch):
 
 def test_validate_mesh_peaks_near_its_faces(monkeypatch):
     # traced bytes a face on the N=122,882 hull on one CPU, where
-    # _half_edges sets the peak and _face_checks scans in chunks: 123
-    # measured, 3% allowed; the whole-mesh excess it replaced read 168
+    # _half_edges sets the peak and _face_checks scans in chunks: 111
+    # measured, 3% allowed; 123 while it cast int64 faces to an int32 copy,
+    # 168 with the whole-mesh excess the chunks replaced
     pretend_cpus(monkeypatch, 1)
     mesh = generate("icosahedron", [(1, 1), (4, 0), (4, 0), (4, 0)]).mesh
     tracemalloc.start()
@@ -870,22 +871,37 @@ def test_validate_mesh_peaks_near_its_faces(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mesh.n_faces == 245_760 and peak / mesh.n_faces <= 1.03 * 123
+    assert mesh.n_faces == 245_760 and peak / mesh.n_faces <= 1.03 * 111
 
 
-def test_meshes_have_int64_faces_and_validate_mesh_takes_any_integer_faces():
-    # a pass holds its indices in int32; every mesh handed out has int64 faces
-    meshes = [
+def package_meshes():
+    return [
         base_polyhedron("octa"),
         generate("icosa", [(1, 1), (4, 0)]).mesh,  # the certified lattice route
         subdivide_mesh(base_polyhedron("tetra"), (1, 1)).mesh,  # refused: qhull
-        convex_hull_triangulation(spiral_points(100)),
+        convex_hull_triangulation(spiral_points(100)),  # whole-set qhull
         convex_hull_triangulation(spiral_points(meshgen._LUNE_GATE)),  # lunes
     ]
-    assert [m.faces.dtype for m in meshes] == [np.int64] * len(meshes)
+
+
+def test_meshes_have_index_dtype_faces_and_validate_mesh_takes_any_integer_faces():
+    # every mesh the package builds holds its faces in _INDEX, as a pass reads them
+    meshes = package_meshes() + [
+        base_polyhedron("tetra"),
+        base_polyhedron("icosa"),
+        generate("octa", [(2, 1)]).mesh,
+        subdivide_mesh(base_polyhedron("icosa"), (3, 0)).mesh,
+    ]
+    assert [m.faces.dtype for m in meshes] == [np.dtype(meshgen._INDEX)] * len(meshes)
     v, f = meshes[1].vertices, meshes[1].faces
-    for faces in (f.astype(np.int32), f.tolist()):
+    for faces in (f.astype(np.int64), f.astype(np.int16), f.tolist()):
         validate_mesh(TriangleMesh(vertices=v, faces=faces))
+
+
+def test_a_package_mesh_passes_its_own_faces_on():
+    # no pass, certificate or validate_mesh copies a package mesh's faces
+    for mesh in package_meshes():
+        assert meshgen._face_indices(mesh.faces, mesh.n_vertices) is mesh.faces
 
 
 def test_half_edge_ids_beyond_the_index_dtype_are_refused(monkeypatch):
