@@ -74,10 +74,10 @@ def write_config_csv(points, stream):
 def read_config_csv(path):
     """Load a configuration written by write_config_csv.
 
-    numpy parses the file in one call.  A file it refuses (a whitespace-only
-    or bad line, no rows) is read line by line, which skips blank lines,
-    parses each field with ``float`` to the same bits and names the first
-    bad line.
+    numpy parses the file in one call.  A file it refuses (a whitespace-only,
+    bad or non-UTF-8 line, no rows) is read line by line, which skips blank
+    lines, parses each field with ``float`` to the same bits and names the
+    first bad line.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the line reader reports no rows
@@ -88,7 +88,7 @@ def read_config_csv(path):
             pts = np.empty((0, 0))
     if pts.shape[1:] != (3,) or len(pts) == 0:
         rows = []
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:

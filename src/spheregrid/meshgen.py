@@ -274,11 +274,12 @@ def validate_mesh(mesh, sphere_tol=1e-12):
     Also checks the Euler characteristic; a non-finite vertex fails the
     radius check.  Orientation is ``_face_checks``' chunked excess scan.
     """
-    v, f = mesh.vertices, mesh.faces
+    v = mesh.vertices
     if not np.all(np.abs(_norm(v.T) - 1.0) <= sphere_tol):
         raise GeometryError("mesh vertices are not on the unit sphere")
+    f = _face_indices(mesh.faces, len(v))
     _half_edges(f, len(v))
-    _face_checks(np.ascontiguousarray(np.asarray(v, dtype=np.float64).T), np.asarray(f))
+    _face_checks(np.ascontiguousarray(np.asarray(v, dtype=np.float64).T), f)
 
 
 def _canonical_faces(faces):
@@ -461,15 +462,17 @@ def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     Point (q1, q2) of face (v0, va, vb) has integer weights (w0, alpha,
     beta) out of T = m^2 + m n + n^2 on its corners (``_bary_numerators``).
     A face keeps the up and down lattice triangles whose centroid lies in
-    its closed triangle; one whose centroid is on a parent edge (m = n mod
-    3) is kept only by the face that walks that edge from its lower to its
-    higher index.  A corner with a negative weight w_x lies in the
-    neighbour across the edge y -> z opposite x, with weights T - w_z on y,
-    T - w_y on z and -w_x on the neighbour's third vertex.  Returns the
-    int32 triangles, each face's n_sure "sure" ones (no centroid weight 0)
-    first, and the int32 twins the template fixes: sides joining two sure
-    triangles, 3 (f n_sure + t) + k and 3 (f n_sure + t') + k' for face f,
-    matched once on face 0's packed directed sides by ``np.intersect1d``.
+    its closed triangle, one on its side x+1 -> x+2 (centroid weight 0 on
+    x, m = n mod 3) only nearer that side's start: weight on x+1 above
+    weight on x+2.  The face across sees the same two weights, which never
+    tie (centroids sit on lattice thirds, midpoints on halves), so every
+    face keeps the same K triangles.  A corner with a negative weight w_x
+    lies in the neighbour across the edge y -> z opposite x, with weights
+    T - w_z on y, T - w_y on z and -w_x on the neighbour's third vertex.
+    Returns the int32 triangles, face by face, and the int32 twins the
+    template fixes: sides joining two triangles of a face, 3 (f K + t) + k
+    and 3 (f K + t') + k' for face f, matched once on face 0's packed
+    directed sides by ``np.intersect1d``.
     """
     m, n = pair
     t, g = m * m + m * n + n * n, math.gcd(m, n)
@@ -504,7 +507,10 @@ def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     tri = (origin + up_down).reshape(-1, 3, 2)
     alpha, beta = _bary_numerators(tri, m, n)
     w = np.stack([t - alpha - beta, alpha, beta], axis=-1)
-    inside = np.all(w.sum(axis=1) >= 0, axis=1)
+    c = w.sum(axis=1)
+    # a centroid weight 0 on x puts a triangle on side x+1 -> x+2: kept nearer its start
+    inside = np.all(c >= 0, axis=1) & (np.all(c > 0, axis=1) | np.any(
+        (c == 0) & (np.roll(c, -1, axis=1) > np.roll(c, 1, axis=1)), axis=1))
     tri, w = tri[inside], w[inside]
     # each corner outside the face gets a column of its own: (T - w_y,
     # T - w_z, -w_x) are its weights on the neighbour's (z, y, third)
@@ -522,24 +528,16 @@ def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     cols = np.empty(out.shape, dtype=np.int64)
     cols[~out] = local[tri[~out][..., 0] + n, tri[~out][..., 1]]
     cols[out] = len(pts) + np.arange(len(s))
-    # every face keeps the triangles with no centroid weight 0; one with a
-    # 0 opposite vertex x goes to the face walking the edge after x low -> high
-    tie = w.sum(axis=1) == 0
-    sure = ~tie.any(axis=1)
-    low_high = (faces < nxt)[:, (tie[~sure].argmax(axis=1) + 1) % 3]
-    n_sure = len(faces) * int(sure.sum())
-    lattice = np.empty((n_sure + int(low_high.sum()), 3), dtype=_INDEX)
-    face_0 = np.take(table, cols[sure], axis=1, out=lattice[:n_sure].reshape(len(faces), -1, 3))[0]
-    lattice[n_sure:] = table[:, cols[~sure]][low_high]
-    # side k of a sure triangle walks P_k -> P_k+1, its twin walks it back; two sure
-    # triangles share a side alike in every face, so face 0's sides are matched once
-    a = face_0.astype(np.int64)
+    lattice = np.take(table, cols, axis=1)
+    # side k of a triangle walks P_k -> P_k+1, its twin walks it back; two triangles
+    # share a side alike in every face, so face 0's sides are matched once
+    a = lattice[0].astype(np.int64)
     b, size = np.roll(a, -1, axis=1), first + len(faces) * n_int
     _, side, back = np.intersect1d(a * size + b, b * size + a, assume_unique=True,
                                    return_indices=True)
     twins = np.stack([side, back], axis=-1)[side < back].astype(_INDEX)
     faces_at = 3 * len(a) * np.arange(len(faces), dtype=_INDEX)
-    return lattice, (faces_at[:, None, None] + twins).reshape(-1, 2)
+    return lattice.reshape(-1, 3), (faces_at[:, None, None] + twins).reshape(-1, 2)
 
 
 def _is_hull(points, faces, known=()):
@@ -609,14 +607,12 @@ def subdivide_mesh(mesh, pair):
     f = _face_indices(mesh.faces, n_vertices)
     gamma = triangulation_number(m, n)
     gc = math.gcd(m, n)
-    _check_size((n_vertices - 2) * gamma + 2)
+    expected = (n_vertices - 2) * gamma + 2
+    _check_size(expected)
 
     pts = lattice_points(m, n)
     alpha, beta = _bary_numerators(pts, m, n)
-    on_a_edge = beta == 0
-    on_b_edge = alpha == 0
-    on_far_edge = alpha + beta == gamma
-    is_interior = ~(on_a_edge | on_b_edge | on_far_edge)
+    is_interior = (alpha > 0) & (beta > 0) & (alpha + beta < gamma)
     int_la = alpha[is_interior] / float(gamma)
     int_lb = beta[is_interior] / float(gamma)
     n_int = int(is_interior.sum())
@@ -642,7 +638,6 @@ def subdivide_mesh(mesh, pair):
 
     points = np.concatenate(blocks, axis=1).T
     del blocks
-    expected = (n_vertices - 2) * gamma + 2
     if len(points) != expected:
         raise ConsistencyError(
             f"subdivision produced {len(points)} points, expected {expected} "

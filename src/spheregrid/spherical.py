@@ -235,11 +235,6 @@ def _solve_interior(v0, va, vb, la, lb):
     return np.moveaxis(p, 0, -1)
 
 
-def _validate_coords(la, lb):
-    if not np.all((la >= -1e-12) & (lb >= -1e-12) & (la + lb <= 1.0 + 1e-12)):
-        raise DomainError("area coordinates must be in [0,1] with sum <= 1")
-
-
 def point_from_area_coords(v0, va, vb, la, lb):
     """Inverse map: the point of the triangle with given area fractions.
 
@@ -264,7 +259,8 @@ def point_from_area_coords(v0, va, vb, la, lb):
         np.broadcast_to(np.asarray(x, dtype=np.float64), (m, 3)) for x in (v0, va, vb)
     )
     spherical_triangle_area(v0, va, vb)  # raises on a degenerate triangle
-    _validate_coords(la, lb)
+    if not np.all((la >= -1e-12) & (lb >= -1e-12) & (la + lb <= 1.0 + 1e-12)):
+        raise DomainError("area coordinates must be in [0,1] with sum <= 1")
     la = np.clip(la, 0.0, 1.0)
     lb = np.clip(lb, 0.0, 1.0)
 

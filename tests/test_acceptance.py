@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The sweep criterion
-generates configurations up to N ~ 1.2e5 and takes a few minutes.
+generates configurations up to N ~ 1.2e5; the module takes about 20 s on a
+2-core machine, 12 s of it in the sweep.
 """
 
 import numpy as np

@@ -380,6 +380,14 @@ def test_reader_takes_a_utf8_byte_order_mark(tmp_path, capsys, tail):
     assert "n=54" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["metrics", "export"])
+def test_a_file_that_is_not_utf8_names_its_bad_line(tmp_path, capsys, command):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"0,0,1\n\xff\xfe,0,0\n")
+    assert run_cli(command, "--in", str(path)) == 2
+    assert f"{path}:2: non-numeric field" in capsys.readouterr().err
+
+
 def test_reader_parses_like_float_bit_for_bit(tmp_path):
     rng = np.random.default_rng(11)
     rows = rng.standard_normal((40, 3))

@@ -898,6 +898,16 @@ def test_meshes_have_index_dtype_faces_and_validate_mesh_takes_any_integer_faces
         validate_mesh(TriangleMesh(vertices=v, faces=faces))
 
 
+@pytest.mark.parametrize("cast", [lambda f: f.astype(np.int64), np.ndarray.tolist],
+                         ids=["int64", "list"])
+def test_validate_mesh_casts_its_faces_once(cast):
+    mesh = generate("icosa", [(1, 1), (4, 0)]).mesh
+    with recording("_half_edges") as halves, recording("_face_checks") as checks:
+        validate_mesh(TriangleMesh(vertices=mesh.vertices, faces=cast(mesh.faces)))
+    [(f, _)], [(_, g)] = halves, checks
+    assert f is g and g.dtype == meshgen._INDEX and np.array_equal(g, mesh.faces)
+
+
 def test_a_package_mesh_passes_its_own_faces_on():
     # no pass, certificate or validate_mesh copies a package mesh's faces
     for mesh in package_meshes():
@@ -945,13 +955,14 @@ def test_half_edges_refuse_a_corrupted_known_list(corrupt):
 
 @pytest.mark.parametrize(
     "pairs,shares",
-    [([(1, 1), (4, 0), (4, 0), (4, 0)], [1.0, 0.25, 0.25, 0.25]), ([(73, 37)], [0.014])],
+    [([(1, 1), (4, 0), (4, 0), (4, 0)], [1.0, 0.25, 0.25, 0.25]), ([(73, 37)], [0.014]),
+     ([(6, 6)], [0.12])],
 )
 def test_certified_pass_sorts_only_its_parent_edge_half_edges(pairs, shares):
     # each pass sorts its parent's half-edges whole, then of the new faces'
-    # only the sides on or across a parent edge and those of tie triangles:
-    # 12 of every 48 for (4,0), about 1.3% for (73,37); the (1,1) template
-    # joins no two sure triangles, so its 60 faces are sorted whole
+    # only the sides on or across a parent edge: 12 of every 48 for (4,0),
+    # about 1.3% for (73,37), 1/9 for (6,6); the (1,1) template joins no
+    # two of its triangles, so its 60 faces are sorted whole
     with recording("_half_edges") as calls:
         cfg = generate("icosahedron", pairs)
     assert cfg.n == expected_cardinality("icosahedron", pairs)
