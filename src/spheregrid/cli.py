@@ -5,8 +5,8 @@ Exit codes: 0 success, 2 parse/parameter error, 3 geometry/solver error,
 """
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 import time
@@ -122,31 +122,30 @@ def _metadata(n, base, seq, report=None):
     return meta
 
 
-def _write_output(text, out_path):
+@contextlib.contextmanager
+def _output(out_path):
+    """stdout, left open, when ``out_path`` is None; else that file, opened ``"w"`` in UTF-8."""
     if out_path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _export_text(cfg, fmt, seq, report=None):
-    buf = io.StringIO()
-    if fmt == "csv":
-        write_config_csv(cfg.points, buf)
-    elif fmt == "obj":
-        write_obj(cfg.points, cfg.hull().faces, buf)
-    else:
-        json.dump(_metadata(cfg.n, cfg.base, seq, report), buf, indent=2)
-        buf.write("\n")
-    return buf.getvalue()
+            yield fh
 
 
 def _write_export(cfg, fmt, seq, out_path, report=None):
-    """The configuration as ``fmt`` text, plus a ``.json`` sidecar beside a csv or obj file."""
-    _write_output(_export_text(cfg, fmt, seq, report), out_path)
+    """Format ``fmt`` straight into ``out_path`` or stdout, with a ``.json`` sidecar
+    beside a csv or obj file; the hull comes first, so a failed one leaves no file."""
+    faces = cfg.hull().faces if fmt == "obj" else None
+    with _output(out_path) as fh:
+        if fmt == "csv":
+            write_config_csv(cfg.points, fh)
+        elif fmt == "obj":
+            write_obj(cfg.points, faces, fh)
+        else:
+            json.dump(_metadata(cfg.n, cfg.base, seq, report), fh, indent=2)
+            fh.write("\n")
     if out_path is not None and fmt in ("csv", "obj"):
-        _write_output(_export_text(cfg, "json", seq, report), out_path + ".json")
+        _write_export(cfg, "json", seq, out_path + ".json", report)
 
 
 def cmd_generate(args):
@@ -160,12 +159,10 @@ def cmd_generate(args):
     return 0
 
 
-def _metrics_csv(report):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+def _write_metrics_csv(report, stream):
+    writer = csv.writer(stream)
     writer.writerow(METRICS_COLUMNS)
     writer.writerow([report.n] + [f"{getattr(report, k):.17g}" for k in METRICS_COLUMNS[1:]])
-    return buf.getvalue()
 
 
 def cmd_metrics(args):
@@ -188,10 +185,10 @@ def cmd_metrics(args):
     )
     for line in report.lines():
         print(line)
-    record = _metrics_csv(report)
-    print(record, end="")
+    _write_metrics_csv(report, sys.stdout)
     if args.out is not None:
-        _write_output(record, args.out)
+        with _output(args.out) as fh:
+            _write_metrics_csv(report, fh)
     return 0
 
 
@@ -257,9 +254,8 @@ def cmd_sweep(args):
     rows = run_sweep(
         args.base, args.family, args.l_min, args.l_max, n_cap=args.n_cap, jobs=args.jobs
     )
-    buf = io.StringIO()
-    write_sweep_csv(rows, buf)
-    _write_output(buf.getvalue(), args.out)
+    with _output(args.out) as fh:
+        write_sweep_csv(rows, fh)
     return 0
 
 

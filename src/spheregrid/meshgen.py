@@ -414,8 +414,9 @@ def convex_hull_triangulation(points):
             return TriangleMesh(vertices=points, faces=faces)
     try:
         hull = ConvexHull(points, qhull_options="Q5")
-    except QhullError as exc:
-        raise GeometryError(f"convex hull failed: {exc}") from exc
+    except QhullError as exc:  # one line; qhull's whole diagnostic stays on __cause__
+        first = str(exc).strip().partition("\n")[0]
+        raise GeometryError(f"convex hull failed: {first}") from exc
     used = np.count_nonzero(np.bincount(hull.simplices.ravel(), minlength=len(points)))
     if used != len(points):
         raise GeometryError(

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,11 +19,13 @@ from spheregrid import (
     GeometryError,
     ParameterError,
     base_polyhedron,
+    convex_hull_triangulation,
     expected_cardinality,
     generate,
     subdivide_mesh,
 )
 from spheregrid.cli import main, read_config_csv, run_sweep, write_config_csv, write_obj
+from spheregrid.lattice import _bary_numerators
 from oracle import spiral_points
 from util import child_env, counting_qhull
 
@@ -178,6 +181,60 @@ def test_geometry_error_exit_3(tmp_path, capsys):
     assert run_cli("metrics", "--in", str(bad)) == 3
 
 
+FLAT = "1,0,0\n0,1,0\n-1,0,0\n0,-1,0\n"
+
+
+@pytest.mark.parametrize("command", ["metrics", "export"])
+def test_a_qhull_failure_prints_one_line(tmp_path, capsys, command):
+    # qhull's whole diagnostic is some 57 lines, and its option order and
+    # run id change from run to run; it stays on the error's __cause__
+    bad = tmp_path / "flat.csv"
+    bad.write_text(FLAT)
+    assert run_cli(command, "--in", str(bad)) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: convex hull failed: QH")
+    with pytest.raises(GeometryError) as info:
+        convex_hull_triangulation(read_config_csv(bad))
+    assert err[0] == f"error: {info.value}"
+    assert str(info.value.__cause__).count("\n") > 1
+
+
+def test_a_failed_export_leaves_no_file(tmp_path, capsys):
+    # the hull is taken before any file is opened
+    bad = tmp_path / "flat.csv"
+    bad.write_text(FLAT)
+    out = tmp_path / "flat.obj"
+    assert run_cli("export", "--in", str(bad), "--format", "obj", "--out", str(out)) == 3
+    assert not out.exists() and not (tmp_path / "flat.obj.json").exists()
+
+
+def test_metrics_out_holds_the_printed_record(tmp_path, capsys):
+    out = tmp_path / "record.csv"
+    assert run_cli("metrics", "--base", "icosa", "--seq", "5,0", "--out", str(out)) == 0
+    record = out.read_bytes().decode()
+    assert capsys.readouterr().out.endswith(record)
+    rows = list(csv.reader(io.StringIO(record)))
+    assert rows[0] == cli.METRICS_COLUMNS and len(rows) == 2 and rows[1][0] == "252"
+
+
+def test_an_export_holds_no_copy_of_its_text(tmp_path):
+    # traced obj export of N=122,882 with its hull cached: one 65,536-row
+    # block's formatting, 12.5 MiB for the 12.2 MiB file; a copy of the
+    # whole text would double it
+    cfg = generate("icosa", [(1, 1), (4, 0), (4, 0), (4, 0)])
+    cfg.hull()
+    out = tmp_path / "cfg.obj"
+    tracemalloc.start()
+    try:
+        cli._write_export(cfg, "obj", None, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.stat().st_size
+
+
 def test_points_off_the_origin_exit_3(tmp_path, capsys):
     probes = spiral_points(3200)
     cap = tmp_path / "cap.csv"
@@ -317,6 +374,22 @@ def test_sweep_lets_a_program_error_through(monkeypatch):
     monkeypatch.setattr(cli, "generate", raising(TypeError))
     with pytest.raises(TypeError, match="injected"):
         run_sweep("icosa", "l,0", 2, 2, jobs=1)
+
+
+def test_a_pass_short_of_its_closed_form_count_is_refused(monkeypatch, capsys):
+    lattice = meshgen.lattice_points
+
+    def one_interior_node_short(m, n):
+        pts = lattice(m, n)
+        alpha, beta = _bary_numerators(pts, m, n)
+        inside = (alpha > 0) & (beta > 0) & (alpha + beta < m * m + m * n + n * n)
+        return np.delete(pts, np.argmax(inside), axis=0)
+
+    monkeypatch.setattr(meshgen, "lattice_points", one_interior_node_short)
+    with pytest.raises(ConsistencyError, match=r"subdivision produced 12 points, expected 32 "):
+        generate("icosa", [(1, 1), (4, 0)])
+    assert run_cli("generate", "--seq", "1,1;4,0") == 3
+    assert "error: subdivision produced 12 points" in capsys.readouterr().err
 
 
 def test_predicted_cardinality_matches_generate():

@@ -106,8 +106,9 @@ def test_lattice_points_sorted_and_unique():
 
 @pytest.mark.parametrize(
     "bad",
-    # int() refuses the last five with ValueError, OverflowError or TypeError
-    [(0, 0), (1, 2), (-1, 0), (3, -1),
+    # int() refuses the last five with ValueError, OverflowError or TypeError,
+    # and int(x) != x the two before them
+    [(0, 0), (1, 2), (-1, 0), (3, -1), (2.5, 1), (4, 0.5),
      (float("nan"), 0), (float("inf"), 0), (None, 0), ((4,), 0), ("a", 0)],
 )
 def test_invalid_pairs_rejected(bad):
