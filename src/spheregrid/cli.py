@@ -7,7 +7,9 @@ Exit codes: 0 success, 2 parse/parameter error, 3 geometry/solver error,
 import argparse
 import contextlib
 import csv
+import errno
 import json
+import os
 import sys
 import time
 import warnings
@@ -314,6 +316,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

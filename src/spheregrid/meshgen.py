@@ -128,13 +128,9 @@ def canonical_base_name(name):
         ) from None
 
 
-def base_vertex_count(name):
-    return _BASE_VERTEX_COUNT[canonical_base_name(name)]
-
-
 def expected_cardinality(base, pairs):
     """Closed-form point count: 2 + (V0 - 2) * prod T(m, n)^k over runs of k equal pairs."""
-    v0 = base_vertex_count(base)
+    v0 = _BASE_VERTEX_COUNT[canonical_base_name(base)]
     runs = itertools.groupby(map(validate_pair, pairs))
     return 2 + (v0 - 2) * math.prod(triangulation_number(*p) ** len(list(r)) for p, r in runs)
 
@@ -471,14 +467,12 @@ def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     lies in the neighbour across the edge y -> z opposite x, with weights
     T - w_z on y, T - w_y on z and -w_x on the neighbour's third vertex.
     Returns the int32 triangles, face by face, and the int32 twins the
-    template fixes: sides joining two triangles of a face, 3 (f K + t) + k
-    and 3 (f K + t') + k' for face f, matched once on face 0's packed
-    directed sides by ``np.intersect1d``.
+    template fixes, read off the lattice (side k walks P_k -> P_k+1): sides
+    1, 0 and 2 of up(o) are walked back by sides 2, 1 and 0 of down(o),
+    down(o - (0, 1)) and down(o - (1, 0)), wherever the face keeps both.
     """
     m, n = pair
     t, g = m * m + m * n + n * n, math.gcd(m, n)
-    # half-edge s of a face walks faces[:, s] -> nxt[:, s]
-    nxt = np.roll(faces, -1, axis=1)
     edge, twin = np.empty((2, faces.size), dtype=_INDEX)
     edge[half] = np.arange(len(half))[:, None]
     twin[half] = half[:, ::-1]
@@ -488,31 +482,33 @@ def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     local[pts[:, 0] + n, pts[:, 1]] = np.arange(len(pts))
     table = np.empty((len(faces), len(pts)), dtype=_INDEX)
     n_int = int(is_interior.sum())
-    first = n_vertices + len(half) * (g - 1)
-    table[:, is_interior] = first + np.arange(len(faces) * n_int).reshape(n_int, len(faces)).T
+    table[:, is_interior] = (n_vertices + len(half) * (g - 1)
+                             + np.arange(len(faces) * n_int).reshape(n_int, len(faces)).T)
     corner = np.array([[0, 0], [m, n], [-n, m + n]])
     table[:, local[corner[:, 0] + n, corner[:, 1]]] = faces
     k = np.arange(1, g, dtype=_INDEX)
     step = np.roll(corner, -1, axis=0) - corner
     q = corner[:, None] + k[:, None] * step[:, None] // g
-    kk = np.stack([g - k, k])[(faces < nxt).astype(np.intp)]
+    # side s walks faces[:, s] -> faces[:, s + 1], up or down its sorted edge
+    kk = np.stack([g - k, k])[(faces < np.roll(faces, -1, axis=1)).astype(np.intp)]
     table[:, local[q[..., 0] + n, q[..., 1]].ravel()] = (
         n_vertices + edge[..., None] * (g - 1) + kk - 1
     ).reshape(len(faces), -1)
-    # the up and down triangles whose centroid (the sum of their corners'
-    # weights, out of 3T) lies in the closed triangle
+    # the up and down triangles whose centroid lies in the closed triangle: weights
+    # are affine, so a centroid's, out of 3T, are those of 3 origin + its corner sum
     origin = np.stack(np.meshgrid(
         np.arange(-n - 1, m + 1), np.arange(-1, m + n + 1), indexing="ij"
-    ), axis=-1).reshape(-1, 1, 1, 2)
-    up_down = [[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]]
-    tri = (origin + up_down).reshape(-1, 3, 2)
+    ), axis=-1).reshape(-1, 1, 2)
+    up_down = np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]])
+    alpha, beta = _bary_numerators(3 * origin + up_down.sum(axis=1), m, n)
+    c = np.stack([3 * t - alpha - beta, alpha, beta], axis=-1)
+    # a centroid weight 0 on x puts a triangle on side x+1 -> x+2: kept nearer its start
+    inside = np.all(c >= 0, axis=-1) & (np.all(c > 0, axis=-1) | np.any(
+        (c == 0) & (np.roll(c, -1, axis=-1) > np.roll(c, 1, axis=-1)), axis=-1))
+    keep = np.flatnonzero(inside)
+    tri = origin[keep // 2] + up_down[keep % 2]
     alpha, beta = _bary_numerators(tri, m, n)
     w = np.stack([t - alpha - beta, alpha, beta], axis=-1)
-    c = w.sum(axis=1)
-    # a centroid weight 0 on x puts a triangle on side x+1 -> x+2: kept nearer its start
-    inside = np.all(c >= 0, axis=1) & (np.all(c > 0, axis=1) | np.any(
-        (c == 0) & (np.roll(c, -1, axis=1) > np.roll(c, 1, axis=1)), axis=1))
-    tri, w = tri[inside], w[inside]
     # each corner outside the face gets a column of its own: (T - w_y,
     # T - w_z, -w_x) are its weights on the neighbour's (z, y, third)
     # vertices, rolled by the slot of z -> y in the neighbour
@@ -530,14 +526,14 @@ def _lattice_faces(faces, half, n_vertices, pair, pts, is_interior):
     cols[~out] = local[tri[~out][..., 0] + n, tri[~out][..., 1]]
     cols[out] = len(pts) + np.arange(len(s))
     lattice = np.take(table, cols, axis=1)
-    # side k of a triangle walks P_k -> P_k+1, its twin walks it back; two triangles
-    # share a side alike in every face, so face 0's sides are matched once
-    a = lattice[0].astype(np.int64)
-    b, size = np.roll(a, -1, axis=1), first + len(faces) * n_int
-    _, side, back = np.intersect1d(a * size + b, b * size + a, assume_unique=True,
-                                   return_indices=True)
-    twins = np.stack([side, back], axis=-1)[side < back].astype(_INDEX)
-    faces_at = 3 * len(a) * np.arange(len(faces), dtype=_INDEX)
+    # the kept rows on the (origin, shape) grid, -1 where a triangle is not kept
+    row = np.full(inside.size, -1, dtype=_INDEX)
+    row[keep] = np.arange(len(keep), dtype=_INDEX)
+    up, down = np.moveaxis(row.reshape(m + n + 2, m + n + 2, 2), -1, 0)
+    sides = ((up, 1, down, 2), (up[:, 1:], 0, down[:, :-1], 1), (up[1:], 2, down[:-1], 0))
+    twins = np.concatenate([np.stack([3 * u + i, 3 * d + j], axis=-1)[(u >= 0) & (d >= 0)]
+                            for u, i, d, j in sides])
+    faces_at = 3 * len(keep) * np.arange(len(faces), dtype=_INDEX)
     return lattice.reshape(-1, 3), (faces_at[:, None, None] + twins).reshape(-1, 2)
 
 

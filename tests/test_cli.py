@@ -292,6 +292,23 @@ def test_io_error_exit_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--base", "icosa", "--seq", "1,1;4,0"],
+    ["metrics", "--seq", "1,1;4,0"],
+    ["sweep", "--family", "l,0", "--l-min", "1", "--l-max", "2"],
+])
+def test_a_missing_out_directory_fails_before_any_work(argv, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the --out check")
+
+    for name in ("generate", "evaluate", "run_sweep"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert run_cli(*argv, "--out", "/nonexistent-dir/m.csv") == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: [Errno 2] No such file or directory: '/nonexistent-dir/m.csv'\n"
+
+
 def test_malformed_config_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,0\n")
