@@ -218,9 +218,10 @@ def _sweep_instance(task):
 def run_sweep(base, family_text, l_min, l_max, n_cap=10**6, jobs=1):
     """Instantiate a family over l in [l_min, l_max] and measure each config.
 
-    Instances whose predicted point count exceeds n_cap are skipped before
-    any work happens.  Returns rows ordered by N; a failed instance yields
-    a row with empty metric fields.
+    The sweep stops, before any work happens, at the first instance whose
+    predicted point count exceeds n_cap, and runs at most one worker process
+    per instance.  Returns rows ordered by N; a failed instance yields a row
+    with empty metric fields.
     """
     base = canonical_base_name(base)
     family = parse_family(family_text)
@@ -233,9 +234,10 @@ def run_sweep(base, family_text, l_min, l_max, n_cap=10**6, jobs=1):
         except ParameterError:
             continue
         if expected_cardinality(base, pairs) > n_cap:
-            continue
+            break  # T(m, n) grows with m and n, and T >= 1: no later instance is smaller
         tasks.append((base, family.text, l, pairs))
-    if jobs > 1 and len(tasks) > 1:
+    jobs = min(jobs, len(tasks))
+    if jobs > 1:
         with Pool(processes=jobs, initializer=_share_cpus, initargs=(jobs,)) as pool:
             rows = pool.map(_sweep_instance, tasks)
     else:

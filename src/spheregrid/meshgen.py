@@ -14,7 +14,6 @@ parent edge; the lattice template pairs the rest.
 """
 
 import concurrent.futures
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from .lattice import (
     triangulation_number,
     validate_pair,
 )
+from .sequences import _runs
 from .spherical import (
     _cross, _dot, _norm, _signed_excess, _slerp, _solve_interior, project_to_sphere,
 )
@@ -131,8 +131,7 @@ def canonical_base_name(name):
 def expected_cardinality(base, pairs):
     """Closed-form point count: 2 + (V0 - 2) * prod T(m, n)^k over runs of k equal pairs."""
     v0 = _BASE_VERTEX_COUNT[canonical_base_name(base)]
-    runs = itertools.groupby(map(validate_pair, pairs))
-    return 2 + (v0 - 2) * math.prod(triangulation_number(*p) ** len(list(r)) for p, r in runs)
+    return 2 + (v0 - 2) * math.prod(triangulation_number(*p) ** k for p, k in _runs(pairs))
 
 
 def _corners(vertices, faces):
@@ -390,16 +389,12 @@ def convex_hull_triangulation(points):
     away from the origin (so not consistently oriented for a set that does
     not surround it).  Faces index the input array, whose order is kept.
     Each face row starts at its smallest index and the rows are sorted, as
-    in ``subdivide_mesh``'s lattice meshes; ``subdivide_mesh`` calls it only
-    for a pass whose lattice mesh the certificate refuses, and ``export``
-    and ``metrics --in`` for points read from a file.  Coplanar facet patches
-    (several hull points on a common plane circle) come out triangulated
+    in ``subdivide_mesh``'s lattice meshes.  Coplanar facet patches (several
+    hull points on a common plane circle) come out triangulated
     deterministically for a fixed input ordering.  Every input point must
     be a hull vertex, which holds for any point set on the sphere without
-    duplicates.  qhull runs with Q5: no output reads its outer planes.
-    From _LUNE_GATE points on it first hulls longitude lunes
-    (``_lune_hull``); if they are refused, it hulls the whole set, so faces
-    and errors are the same either way.
+    duplicates; GeometryError otherwise, and for fewer than 4 points or a
+    qhull failure.  qhull runs with Q5: no output reads its outer planes.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3 or len(points) < 4:
@@ -575,26 +570,19 @@ def _is_hull(points, faces, known=()):
 
 
 def subdivide_mesh(mesh, pair):
-    """One grid-refinement pass over every face of a closed, oriented mesh.
+    """One grid-refinement pass over every face of a closed, oriented mesh
+    whose vertices lie on the unit sphere (else GeometryError).
 
-    Nodes shared between faces are produced exactly once, so the fusion of
-    per-face grids never depends on a dedup tolerance: mesh vertices are
-    copied, nodes on a shared edge sit at equal arc-length fractions j/g
-    (g = gcd(m, n)) of the edge's great-circle arc, and strictly interior
-    nodes are found per face by the inverse area-coordinate solve.  The
-    arc-length rule for edge nodes depends only on the edge's endpoints,
-    so the two faces sharing an edge always agree on its nodes.
-
+    Mesh vertices are copied, the g - 1 nodes of a shared edge (g = gcd(m, n))
+    are made once, and strictly interior nodes are solved per face.
     ``_check_size`` refuses the pass's N up front.  The result's ``mesh`` is
-    the hull of its points, faces as
+    the hull of its points in ``canonical_order``, faces as
     ``convex_hull_triangulation`` orders them: the lattice triangles of the
     pass (``_lattice_faces``) when they pass the hull certificate, else
-    qhull's hull of the ordered points.  The count is checked against the
-    closed form (V - 2) * (m^2 + n^2 + m n) + 2, and the shortest hull edge
-    against DEDUP_TOL (nearest neighbours are hull edges); either failure
-    raises ConsistencyError.  A qhull hull that is not closed with
-    V - E + F = 2, or has an inward face, raises GeometryError, as the
-    certificate refuses such a lattice mesh (``_face_checks`` on both).
+    qhull's hull.  The count is checked against the closed form
+    (V - 2) * (m^2 + n^2 + m n) + 2, and the shortest hull edge against
+    DEDUP_TOL; either failure raises ConsistencyError.  A qhull hull that is
+    not closed with V - E + F = 2, or has an inward face, raises GeometryError.
     """
     m, n = validate_pair(pair)
     xyz = np.ascontiguousarray(np.asarray(mesh.vertices, dtype=np.float64).T)
@@ -698,13 +686,13 @@ def generate(base, pairs):
     so only a first one, which puts the base in canonical order, runs.
     """
     name = canonical_base_name(base)
-    pair_list = [validate_pair(p) for p in pairs]
-    if len(pair_list) == 0:
+    runs = _runs(pairs)
+    if not runs:
         raise ParameterError("sequence must contain at least one integer pair")
-    _check_size(expected_cardinality(name, pair_list))
+    pairs = tuple(pair for pair, k in runs for _ in range(k))
+    _check_size(expected_cardinality(name, pairs))
     mesh = base_polyhedron(name)
-    for pair in pair_list[:1] + [p for p in pair_list[1:] if p != (1, 0)]:
-        mesh = subdivide_mesh(mesh, pair).mesh
-    return SphericalConfig(
-        points=mesh.vertices, base=name, pairs=tuple(pair_list), mesh=mesh
-    )
+    for i, (pair, k) in enumerate(runs):
+        for _ in range(k if pair != (1, 0) else i == 0):
+            mesh = subdivide_mesh(mesh, pair).mesh
+    return SphericalConfig(points=mesh.vertices, base=name, pairs=pairs, mesh=mesh)

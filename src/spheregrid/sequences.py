@@ -6,7 +6,6 @@ A family is the same grammar with the letter ``l`` standing for one free
 integer parameter, e.g. ``l,0`` or ``1,1;(4,0)^l``.
 """
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -67,13 +66,23 @@ def parse_sequence(text):
     return _expand(_parse_tokens(text, allow_l=False))
 
 
+def _runs(pairs):
+    """A sequence's runs of equal pairs in order, as ((m, n), k).  An entry is
+    validated unless it is the same object as the one before it, so a run the
+    grammar expanded costs one ``validate_pair``."""
+    runs, last = [], object()
+    for p in pairs:
+        if p is not last:
+            last, pair = p, validate_pair(p)
+            if not runs or runs[-1][0] != pair:
+                runs.append([pair, 0])
+        runs[-1][1] += 1
+    return [tuple(run) for run in runs]
+
+
 def format_sequence(pairs):
     """Canonical string for a sequence; runs of equal pairs use ``^k``."""
-    out = []
-    for (m, n), run in itertools.groupby(validate_pair(p) for p in pairs):
-        k = len(list(run))
-        out.append(f"({m},{n})^{k}" if k >= 2 else f"{m},{n}")
-    return ";".join(out)
+    return ";".join(f"({m},{n})^{k}" if k >= 2 else f"{m},{n}" for (m, n), k in _runs(pairs))
 
 
 @dataclass(frozen=True)

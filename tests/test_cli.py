@@ -352,6 +352,45 @@ def test_sweep_jobs_give_the_rows_of_one_process():
     assert [row["N"] for row in without_seconds[0]] == [7_842, 8_412, 9_002]
 
 
+def test_sweep_stops_at_its_first_instance_over_the_cap(monkeypatch):
+    # N never falls as l grows, so l = 4 (N = 1,966,082) ends the sweep
+    calls = []
+
+    def counting(base, pairs):
+        calls.append(len(pairs))
+        return expected_cardinality(base, pairs)
+
+    monkeypatch.setattr(cli, "expected_cardinality", counting)
+    rows = run_sweep("icosa", "1,1;(4,0)^l", 1, 3000, n_cap=10**6)
+    assert calls == [2, 3, 4, 5]
+    assert [r["N"] for r in rows] == [482, 7_682, 122_882]
+    without_seconds = [[{k: v for k, v in row.items() if k != "seconds"} for row in r]
+                       for r in (rows, run_sweep("icosa", "1,1;(4,0)^l", 1, 10, n_cap=10**6))]
+    assert without_seconds[0] == without_seconds[1]
+
+
+def test_sweep_starts_no_more_workers_than_instances(monkeypatch):
+    seen = {}
+
+    class SerialPool:
+        def __init__(self, processes, initializer, initargs):
+            seen.update(processes=processes, initargs=initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(cli, "Pool", SerialPool)
+    monkeypatch.setattr(cli, "_sweep_instance", worker_processes)
+    rows = run_sweep("icosa", "l,0", 1, 3, jobs=64)
+    assert seen == {"processes": 3, "initargs": (3,)} and len(rows) == 3
+
+
 def worker_processes(task):
     """A sweep row holding the process count its worker shares the CPUs with."""
     return {"_sort": 0, "l": task[2], "processes": meshgen._processes}

@@ -13,6 +13,7 @@ from scipy.spatial import ConvexHull
 from scipy.spatial.transform import Rotation
 
 import spheregrid.meshgen as meshgen
+from spheregrid import lattice, sequences
 from spheregrid import (
     ConsistencyError,
     GeometryError,
@@ -23,8 +24,10 @@ from spheregrid import (
     convex_hull_triangulation,
     expected_cardinality,
     generate,
+    parse_sequence,
     subdivide_mesh,
     validate_mesh,
+    validate_pair,
 )
 from spheregrid.cli import main
 from spheregrid.spherical import _cross, _dot
@@ -117,6 +120,20 @@ def test_expected_cardinality_takes_one_power_a_run_of_equal_pairs():
     # pairs are validated in order, so the first invalid one is named
     with pytest.raises(ParameterError, match=r"pair \(2,3\) violates"):
         expected_cardinality("icosa", [(4, 0), (4, 0), (2, 3), (2, 3), (0, 0)])
+
+
+def test_a_million_pair_run_is_validated_once_a_run(monkeypatch):
+    calls = []
+
+    def spy(pair):
+        calls.append(pair)
+        return validate_pair(pair)
+
+    for module in (lattice, meshgen, sequences):
+        monkeypatch.setattr(module, "validate_pair", spy)
+    with pytest.raises(ParameterError, match=r"^N=9\.61e\+1204120 points need"):
+        generate("icosa", parse_sequence("(4,0)^1000000"))
+    assert len(calls) <= 4
 
 
 def test_subdivide_points_are_distinct_unit_vectors():
@@ -1001,12 +1018,14 @@ def test_certified_pass_sorts_only_its_parent_edge_half_edges(pairs, shares):
 @pytest.mark.parametrize(
     "pairs,runs",
     [([(1, 1)] + [(1, 0)] * 1000, [(1, 1)]),  # 1,000 (1,0) passes would take 1 s
-     ([(1, 0), (1, 1), (1, 0), (4, 0)], [(1, 0), (1, 1), (4, 0)])],
+     ([(1, 0), (1, 1), (1, 0), (4, 0)], [(1, 0), (1, 1), (4, 0)]),
+     (np.array([[1, 0], [1, 0], [2, 1], [1, 0], [2, 1], [2, 1]]), [(1, 0), (2, 1), (2, 1), (2, 1)])],
 )
 def test_an_identity_pass_after_the_first_is_skipped(pairs, runs):
     with recording("subdivide_mesh") as calls:
         cfg = generate("icosa", pairs)
-    assert [pair for _, pair in calls] == runs and cfg.pairs == tuple(pairs)
+    assert [pair for _, pair in calls] == runs and cfg.pairs == tuple(map(tuple, pairs))
+    assert {type(v) for pair in cfg.pairs for v in pair} == {int}
     want = generate("icosa", runs)
     assert cfg.points.tobytes() == want.points.tobytes()
     assert cfg.mesh.faces.tobytes() == want.mesh.faces.tobytes()

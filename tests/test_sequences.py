@@ -1,9 +1,15 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheregrid import ParameterError, format_sequence, parse_family, parse_sequence
+from spheregrid import (
+    ParameterError, expected_cardinality, format_sequence, generate, parse_family,
+    parse_sequence, triangulation_number, validate_pair,
+)
 from spheregrid.sequences import SequenceParseError
 
 
@@ -69,6 +75,46 @@ PAIRS = st.integers(1, 30).flatmap(lambda m: st.tuples(st.just(m), st.integers(0
 def test_parse_format_round_trip_property(runs):
     pairs = [pair for pair, k in runs for _ in range(k)]
     assert parse_sequence(format_sequence(pairs)) == tuple(pairs)
+
+
+def copies(pair, k, kind):
+    """k copies of a pair: one object, equal tuples, lists or numpy rows."""
+    if kind == "same":
+        return [pair] * k
+    if kind == "equal":
+        return [tuple(list(pair)) for _ in range(k)]
+    if kind == "list":
+        return [list(pair) for _ in range(k)]
+    return list(np.array([pair] * k))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(runs=st.lists(
+    st.tuples(PAIRS, st.integers(1, 4), st.sampled_from(["same", "equal", "list", "numpy"])),
+    max_size=6,
+))
+def test_runs_count_and_format_as_pair_by_pair(runs):
+    pairs = [p for pair, k, kind in runs for p in copies(pair, k, kind)]
+    checked = [validate_pair(p) for p in pairs]
+    groups = [(p, len(list(g))) for p, g in itertools.groupby(checked)]
+    assert format_sequence(pairs) == ";".join(
+        f"({m},{n})^{k}" if k >= 2 else f"{m},{n}" for (m, n), k in groups)
+    assert expected_cardinality("octa", pairs) == 2 + 4 * math.prod(
+        triangulation_number(*p) for p in checked)
+
+
+@pytest.mark.parametrize("bad", [None, (2, 3), (float("nan"), 0)])
+def test_a_bad_pair_after_a_long_run_is_named(bad):
+    with pytest.raises(ParameterError) as want:
+        validate_pair(bad)
+    pairs = [(4, 0)] * 10**5 + [bad]
+    for call in (generate, expected_cardinality):
+        with pytest.raises(ParameterError) as got:
+            call("icosa", pairs)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ParameterError) as got:
+        format_sequence(pairs)
+    assert str(got.value) == str(want.value)
 
 
 def test_parse_family_and_instantiate():
