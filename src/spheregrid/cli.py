@@ -10,6 +10,7 @@ import csv
 import errno
 import json
 import os
+import re
 import sys
 import time
 import warnings
@@ -201,7 +202,7 @@ def _share_cpus(jobs):
 def _sweep_instance(task):
     base, family_text, l, pairs = task
     row = dict.fromkeys(SWEEP_COLUMNS, "")
-    row.update(family=family_text, l=l, _sort=-1)
+    row.update(family=family_text, l=l)
     try:
         start = time.perf_counter()
         cfg = generate(base, pairs)
@@ -211,7 +212,7 @@ def _sweep_instance(task):
         print(f"sweep instance l={l} failed: {exc}", file=sys.stderr)
         return row
     row.update({k: f"{getattr(report, k):.17g}" for k in ("separation", "covering", "mesh_ratio")})
-    row.update(seq=format_sequence(pairs), N=cfg.n, seconds=f"{seconds:.3f}", _sort=cfg.n)
+    row.update(seq=format_sequence(pairs), N=cfg.n, seconds=f"{seconds:.3f}")
     return row
 
 
@@ -219,7 +220,8 @@ def run_sweep(base, family_text, l_min, l_max, n_cap=10**6, jobs=1):
     """Instantiate a family over l in [l_min, l_max] and measure each config.
 
     The sweep stops, before any work happens, at the first instance whose
-    predicted point count exceeds n_cap, and runs at most one worker process
+    predicted point count exceeds n_cap, or that fails to validate once l is
+    past every integer the family writes, and runs at most one worker process
     per instance.  Returns rows ordered by N; a failed instance yields a row
     with empty metric fields.
     """
@@ -227,11 +229,14 @@ def run_sweep(base, family_text, l_min, l_max, n_cap=10**6, jobs=1):
     family = parse_family(family_text)
     if l_min < 1 or l_max < l_min:
         raise ParameterError(f"bad l range [{l_min}, {l_max}]")
+    top = max(map(int, re.findall(r"\d+", family.text)), default=0)
     tasks = []
     for l in range(l_min, l_max + 1):
         try:
             pairs = family.instantiate(l)
         except ParameterError:
+            if l > top:
+                break  # l > every written c: (l,c), (l,l) valid, (c,l) not, and the count grows
             continue
         if expected_cardinality(base, pairs) > n_cap:
             break  # T(m, n) grows with m and n, and T >= 1: no later instance is smaller
@@ -242,10 +247,7 @@ def run_sweep(base, family_text, l_min, l_max, n_cap=10**6, jobs=1):
             rows = pool.map(_sweep_instance, tasks)
     else:
         rows = [_sweep_instance(t) for t in tasks]
-    rows.sort(key=lambda r: (r["_sort"], r["l"]))
-    for row in rows:
-        row.pop("_sort")
-    return rows
+    return sorted(rows, key=lambda r: (r["N"] or -1, r["l"]))  # a failed row's N is ""
 
 
 def write_sweep_csv(rows, stream):

@@ -2,8 +2,8 @@
 
 A sequence is pairs ``m,n`` joined by ``;`` with an optional repetition
 suffix on a parenthesised pair: ``1,1;(4,0)^2`` means ((1,1),(4,0),(4,0)).
-A family is the same grammar with the letter ``l`` standing for one free
-integer parameter, e.g. ``l,0`` or ``1,1;(4,0)^l``.
+A family writes the letter ``l`` for a free integer in one or more slots,
+e.g. ``l,0`` or ``1,1;(4,0)^l``; its instance is its text with l written in.
 """
 
 import re
@@ -22,7 +22,8 @@ class SequenceParseError(ParameterError):
     """Sequence or family string does not match the grammar."""
 
 
-def _parse_tokens(text, allow_l):
+def _parse_tokens(text):
+    """Each token's slots (m, n, k) as text, its position and its stripped text."""
     if not isinstance(text, str) or text.strip() == "":
         raise SequenceParseError("empty sequence string")
     entries = []
@@ -35,10 +36,6 @@ def _parse_tokens(text, allow_l):
         m = match.group("pm") or match.group("m")
         n = match.group("pn") or match.group("n")
         k = match.group("k") or "1"
-        if not allow_l and "l" in (m, n, k):
-            raise SequenceParseError(
-                f"free parameter 'l' not allowed here (position {i}: {token.strip()!r})"
-            )
         if k != "l" and int(k) < 1:
             raise SequenceParseError(
                 f"repetition count must be >= 1 at position {i}: {token.strip()!r}"
@@ -47,23 +44,23 @@ def _parse_tokens(text, allow_l):
     return entries
 
 
-def _expand(entries, l=None):
-    """The validated pairs of parsed entries, the letter 'l' read as ``l``."""
+def parse_sequence(text):
+    """Parse a concrete sequence string into a tuple of validated pairs."""
+    entries = _parse_tokens(text)
+    for m, n, k, i, token in entries:
+        if "l" in (m, n, k):
+            raise SequenceParseError(
+                f"free parameter 'l' not allowed here (position {i}: {token!r})"
+            )
     pairs = []
     for m, n, k, i, token in entries:
-        m, n, k = (l if v == "l" else int(v) for v in (m, n, k))
         try:
-            if len(pairs) + k > 10**6:
+            if len(pairs) + int(k) > 10**6:
                 raise ParameterError("a sequence holds at most 10^6 pairs")
-            pairs.extend([validate_pair((m, n))] * k)
+            pairs.extend([validate_pair((int(m), int(n)))] * int(k))
         except ParameterError as exc:
             raise SequenceParseError(f"at position {i} ({token!r}): {exc}") from None
     return tuple(pairs)
-
-
-def parse_sequence(text):
-    """Parse a concrete sequence string into a tuple of validated pairs."""
-    return _expand(_parse_tokens(text, allow_l=False))
 
 
 def _runs(pairs):
@@ -90,20 +87,19 @@ class Family:
     """A sequence template over one integer parameter l."""
 
     text: str
-    entries: tuple
 
     def instantiate(self, l):
-        """Concrete pair sequence for a given l; validates every pair."""
+        """The sequence this family's text reads with ``l`` written in."""
         if l < 1:
             raise ParameterError(f"family parameter l must be >= 1, got {l}")
-        return _expand(self.entries, l)
+        # the grammar admits 'l' only as a whole slot, so no other text holds one
+        return parse_sequence(self.text.replace("l", str(l)))
 
 
 def parse_family(text):
     """Parse a family string; it must contain the parameter 'l' at least once."""
-    entries = tuple(_parse_tokens(text, allow_l=True))
-    if not any("l" in (m, n, k) for m, n, k, _, _ in entries):
+    if not any("l" in entry[:3] for entry in _parse_tokens(text)):
         raise SequenceParseError(
             f"family {text!r} does not contain the free parameter 'l'"
         )
-    return Family(text=" ".join(text.split()), entries=entries)
+    return Family(text=" ".join(text.split()))

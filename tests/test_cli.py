@@ -393,7 +393,7 @@ def test_sweep_starts_no_more_workers_than_instances(monkeypatch):
 
 def worker_processes(task):
     """A sweep row holding the process count its worker shares the CPUs with."""
-    return {"_sort": 0, "l": task[2], "processes": meshgen._processes}
+    return {"N": 0, "l": task[2], "processes": meshgen._processes}
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -424,6 +424,32 @@ def test_sweep_error_row_on_a_library_error(monkeypatch, capsys):
     rows = run_sweep("icosa", "l,0", 2, 2, jobs=1)
     assert [(r["l"], r["N"], r["mesh_ratio"]) for r in rows] == [(2, "", "")]
     assert "sweep instance l=2 failed: injected" in capsys.readouterr().err
+
+
+def test_a_failed_instance_row_sorts_first(monkeypatch):
+    def fail_at_3(base, pairs):
+        if pairs == ((3, 0),):
+            raise ConsistencyError("injected")
+        return generate(base, pairs)
+
+    monkeypatch.setattr(cli, "generate", fail_at_3)
+    rows = run_sweep("icosa", "l,0", 1, 4)
+    assert [(r["l"], r["N"]) for r in rows] == [(3, ""), (1, 12), (2, 42), (4, 162)]
+
+
+def test_sweep_stops_where_its_family_stops_validating(monkeypatch):
+    # (3,l) is invalid for every l > 3, the family's largest written integer
+    calls = []
+    instantiate = spheregrid.Family.instantiate
+
+    def counting(family, l):
+        calls.append(l)
+        return instantiate(family, l)
+
+    monkeypatch.setattr(spheregrid.Family, "instantiate", counting)
+    rows = run_sweep("icosa", "3,l", 1, 10**5)
+    assert [(r["l"], r["N"]) for r in rows] == [(1, 132), (2, 192), (3, 272)]
+    assert calls == [1, 2, 3, 4]
 
 
 def test_sweep_lets_a_program_error_through(monkeypatch):

@@ -142,6 +142,59 @@ def test_family_instantiation_validates_pairs():
         parse_family("l,0").instantiate(0)
 
 
+SLOT = st.one_of(st.integers(0, 12), st.just("l"))
+
+
+def template_text(m, n, k, form):
+    return {"bare": f"{m},{n}", "paren": f"({m},{n})", "power": f"({m},{n})^{k}"}[form]
+
+
+def reference_instance(tokens, l):
+    """The pairs a family template means for l, read off its slots."""
+    slots = [(m, n, k if form == "power" else 1) for m, n, k, form in tokens]
+    if not any("l" in s for s in slots):
+        raise ParameterError("no free parameter")
+    pairs = []
+    for s in slots:
+        m, n, k = (l if v == "l" else v for v in s)
+        if k < 1 or m <= 0 or n < 0 or m < n:
+            raise ParameterError("invalid")
+        pairs += [(m, n)] * k
+    if len(pairs) > 10**6:
+        raise ParameterError("too long")
+    return tuple(pairs)
+
+
+def outcome(call):
+    try:
+        return call()
+    except ParameterError:
+        return ParameterError
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    tokens=st.lists(st.tuples(
+        SLOT, SLOT, st.one_of(SLOT, st.just(10**6)), st.sampled_from(["bare", "paren", "power"]),
+    ), min_size=1, max_size=4),
+    l=st.integers(1, 15),
+)
+def test_a_family_instance_means_its_slots_with_l_written_in(tokens, l):
+    text = ";".join(template_text(*t) for t in tokens)
+    assert outcome(lambda: parse_family(text).instantiate(l)) == outcome(
+        lambda: reference_instance(tokens, l))
+
+
+@pytest.mark.parametrize("text", ["1l,0", "l1,0", "ll,0", "(4,0)^2l"])
+def test_a_family_slot_is_l_or_an_integer_never_both(text):
+    with pytest.raises(SequenceParseError, match="bad integer pair"):
+        parse_family(text)
+
+
+def test_a_family_slot_may_be_spaced():
+    assert parse_family("( l , 0 )^l").instantiate(2) == ((2, 0), (2, 0))
+
+
 def test_sequence_strings_reject_l():
     with pytest.raises(SequenceParseError):
         parse_sequence("l,0")
