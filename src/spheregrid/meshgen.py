@@ -1,16 +1,8 @@
 """Spherical point configurations from recursively subdivided triangle meshes.
 
-A configuration is built by laying a triangular grid over every face of a
-closed, convex, triangulated mesh (the three regular deltahedra to start):
-grid nodes interior to a face are placed by the inverse area-coordinate
-solve on its spherical triangle, nodes on shared edges at equal arc-length
-fractions of the edge arc, and the per-face results fuse into one point
-set.  The convex hull of that set is again a closed triangulated mesh, so
-the step can be applied repeatedly with a sequence of integer pairs.  Every
-pass returns that hull: the faces' Caspar-Klug lattice triangles (the
-Goldberg-Coxeter construction) once a certificate accepts them, else
-qhull's hull.  The certificate sorts only the half-edges on or across a
-parent edge; the lattice template pairs the rest.
+Each pass lays a lattice grid over every face of a closed convex mesh and
+returns the hull of the result: its Goldberg-Coxeter lattice triangles once
+a certificate accepts them, else qhull's hull (the README has the details).
 """
 
 import concurrent.futures
@@ -130,8 +122,12 @@ def canonical_base_name(name):
 
 def expected_cardinality(base, pairs):
     """Closed-form point count: 2 + (V0 - 2) * prod T(m, n)^k over runs of k equal pairs."""
-    v0 = _BASE_VERTEX_COUNT[canonical_base_name(base)]
-    return 2 + (v0 - 2) * math.prod(triangulation_number(*p) ** k for p, k in _runs(pairs))
+    return _count(canonical_base_name(base), _runs(pairs))
+
+
+def _count(name, runs):
+    return 2 + (_BASE_VERTEX_COUNT[name] - 2) * math.prod(
+        triangulation_number(*p) ** k for p, k in runs)
 
 
 def _corners(vertices, faces):
@@ -341,15 +337,14 @@ def _face_checks(xyz, faces):
 def _lune_hull(points):
     """The hull's canonical faces pieced from longitude lunes, or None.
 
-    Lune k holds the points on the sector side of both planes through the
-    z axis at longitudes -pi + 2 pi k / _LUNES and -pi + 2 pi (k + 1) /
-    _LUNES, or less than _LUNE_REACH / sqrt(N) beyond one of them.  It keeps
-    the faces of its qhull hull whose centroid's atan2 falls in its sector,
-    the corners summed in ascending index order; a face of two lunes has
-    the same bits in both, so exactly one keeps it.  A union that
-    ``_is_hull`` certifies has every edge strictly convex, so it is the
-    unique hull.  None when a lune has fewer than 4 points, qhull fails on
-    one, or ``_is_hull`` refuses the union.
+    Lune k holds the points within _LUNE_REACH / sqrt(N) of the k-th of
+    _LUNES sectors about the z axis, and keeps the faces of its qhull hull
+    whose centroid, its corners summed in ascending index order (the same
+    bits in two lunes), falls in its sector.  qhull runs without its
+    pre-merge, depth-first (Q0 Q7), and again merged in its own order only
+    after that raises; a union that ``_is_hull`` certifies is the unique
+    hull, whichever options built it.  None when a lune has fewer than 4
+    points, the merged run fails on one, or ``_is_hull`` refuses the union.
     """
     x, y = points[:, 0], points[:, 1]
     reach = _LUNE_REACH / math.sqrt(len(points))
@@ -369,7 +364,11 @@ def _lune_hull(points):
     def kept(k, _):
         # lune ids ascend, so a face's corners sort alike in local and global ids
         part = points[lunes[k]]
-        local = _orient_outward(part, ConvexHull(part, qhull_options="Q5").simplices)
+        try:
+            simplices = ConvexHull(part, qhull_options="Q5 Q0 Q7").simplices
+        except QhullError:
+            simplices = ConvexHull(part, qhull_options="Q5").simplices
+        local = _orient_outward(part, simplices)
         a, b, c = _corners(part, np.sort(local, axis=1))
         centroid = a + b + c
         sector = np.floor(
@@ -387,14 +386,14 @@ def _lune_hull(points):
 def convex_hull_triangulation(points):
     """Convex hull of on-sphere points as a triangle mesh, every face facing
     away from the origin (so not consistently oriented for a set that does
-    not surround it).  Faces index the input array, whose order is kept.
-    Each face row starts at its smallest index and the rows are sorted, as
-    in ``subdivide_mesh``'s lattice meshes.  Coplanar facet patches (several
-    hull points on a common plane circle) come out triangulated
-    deterministically for a fixed input ordering.  Every input point must
-    be a hull vertex, which holds for any point set on the sphere without
-    duplicates; GeometryError otherwise, and for fewer than 4 points or a
-    qhull failure.  qhull runs with Q5: no output reads its outer planes.
+    not surround it).  Faces index the input array, whose order is kept;
+    rows start at their smallest index and are sorted, as in
+    ``subdivide_mesh``.  From _LUNE_GATE points ``_lune_hull`` goes first;
+    where it gives None, one qhull run over the whole set gives the faces
+    (cocircular ties split alike for a fixed input order) or the error.
+    That run uses Q5: no output reads qhull's outer planes.  Every point must
+    be a hull vertex, as in any duplicate-free set on the sphere;
+    GeometryError otherwise, below 4 points or when qhull fails.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3 or len(points) < 4:
@@ -677,20 +676,17 @@ def _check_size(n):
 def generate(base, pairs):
     """Full pipeline: base polyhedron refined by a sequence of integer pairs.
 
-    Each pass subdivides the current mesh; its hull (the certified lattice
-    mesh, else qhull's, as for the tetrahedron's (1,1), whose cube faces
-    are cocircular ties) is the next mesh, and the final one stays attached
-    for metric evaluation.  Each pass checks its closed-form count, so the
-    point count is 2 + (V0 - 2) * prod_k gamma(m_k, n_k); ``_check_size``
-    refuses that count up front.  A (1,0) pass returns the hull it is given,
-    so only a first one, which puts the base in canonical order, runs.
+    Each pass's hull (the certified lattice mesh, else qhull's) is the next
+    mesh, and the final one stays attached for metric evaluation.  The
+    closed-form count of the pairs' runs (``_count``) goes to ``_check_size``
+    before any pass, and a (1,0) pair runs only as the first.
     """
     name = canonical_base_name(base)
     runs = _runs(pairs)
     if not runs:
         raise ParameterError("sequence must contain at least one integer pair")
+    _check_size(_count(name, runs))
     pairs = tuple(pair for pair, k in runs for _ in range(k))
-    _check_size(expected_cardinality(name, pairs))
     mesh = base_polyhedron(name)
     for i, (pair, k) in enumerate(runs):
         for _ in range(k if pair != (1, 0) else i == 0):

@@ -27,7 +27,7 @@ from spheregrid import (
 from spheregrid.cli import main, read_config_csv, run_sweep, write_config_csv, write_obj
 from spheregrid.lattice import _bary_numerators
 from oracle import spiral_points
-from util import child_env, counting_qhull
+from util import child_env, counting_qhull, turned_icosa_64
 
 
 def run_cli(*args):
@@ -264,8 +264,33 @@ def test_obj_output_builds_one_hull_per_pass(tmp_path, capsys):
         assert calls == []
         assert run_cli("export", "--in", str(cfg_path), "--format", "obj",
                        "--out", str(tmp_path / "exp.obj")) == 0
-        assert calls == [122]
+        assert calls == [(122, "Q5", False)]
     assert (tmp_path / "gen.obj").read_bytes() == (tmp_path / "exp.obj").read_bytes()
+
+
+def test_read_side_hulls_a_file_in_lunes(tmp_path, capsys):
+    # a turned, permuted icosa 64,0 (N = 40,962): metrics --in and export
+    # hull it in lunes, and give the bytes of the whole-set qhull
+    points = turned_icosa_64()
+    cfg_path = tmp_path / "cfg.csv"
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        write_config_csv(points, fh)
+
+    def outputs(tag):
+        record, obj = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.obj"
+        assert run_cli("metrics", "--in", str(cfg_path), "--out", str(record)) == 0
+        assert run_cli("export", "--in", str(cfg_path), "--format", "obj",
+                       "--out", str(obj)) == 0
+        return record.read_bytes(), obj.read_bytes()
+
+    with counting_qhull() as calls:
+        lunes = outputs("lunes")
+    # one lune hull for each command, and no call on all the points
+    assert sum(options == "Q5 Q0 Q7" for _, options, _ in calls) == 2 * meshgen._LUNES
+    assert all(n < len(points) for n, _, _ in calls)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshgen, "_LUNE_GATE", len(points) + 1)
+        assert outputs("whole") == lunes
 
 
 def test_writers_match_per_value_formatting():

@@ -34,7 +34,7 @@ from spheregrid.spherical import _cross, _dot
 from oracle import spiral_points
 from util import (
     BASES, copied_vertex_tetrahedron, counting_qhull, pretend_cpus, random_sequence,
-    unit_rows,
+    turned_icosa_64, unit_rows,
 )
 
 
@@ -131,9 +131,13 @@ def test_a_million_pair_run_is_validated_once_a_run(monkeypatch):
 
     for module in (lattice, meshgen, sequences):
         monkeypatch.setattr(module, "validate_pair", spy)
-    with pytest.raises(ParameterError, match=r"^N=9\.61e\+1204120 points need"):
-        generate("icosa", parse_sequence("(4,0)^1000000"))
+    pairs = parse_sequence("(4,0)^1000000")
+    with recording("_runs") as scans, pytest.raises(
+            ParameterError, match=r"^N=9\.61e\+1204120 points need"):
+        generate("icosa", pairs)
     assert len(calls) <= 4
+    # generate counts its points from its own runs: one scan of the pairs
+    assert len(scans) == 1
 
 
 def test_subdivide_points_are_distinct_unit_vectors():
@@ -437,7 +441,7 @@ def assert_qhull_route(base, pair):
     gives the pass's points with qhull's faces."""
     with counting_qhull() as calls:
         cfg = subdivide_mesh(base_polyhedron(base), pair)
-    assert calls == [cfg.n]
+    assert calls == [(cfg.n, "Q5", False)]
     out = generate(base, [pair])
     assert np.array_equal(out.points, cfg.points)
     assert np.array_equal(out.mesh.faces, convex_hull_triangulation(cfg.points).faces)
@@ -646,12 +650,6 @@ def uniform_points(n, seed):
     return unit_rows(np.random.default_rng(seed).normal(size=(n, 3)))
 
 
-def turned_icosa_64():
-    rotation = Rotation.random(random_state=11).as_matrix()
-    points = generate("icosahedron", [(64, 0)]).points @ rotation.T
-    return points[np.random.default_rng(11).permutation(len(points))]
-
-
 def lat_lon_grid():
     # 127 rings of 130 points and the poles: every quad is cocircular
     colat, lon = np.meshgrid(np.arange(1, 128) * np.pi / 128, np.arange(130) * np.pi / 65)
@@ -698,19 +696,41 @@ def equator():
     return np.column_stack([np.cos(t), np.sin(t), 0.0 * t])
 
 
+def lune_protocol(calls, n):
+    """(lunes, reruns) of the lune calls of a hull of n points, once checked:
+    one "Q5 Q0 Q7" call per lune, a "Q5" call only after a "Q5 Q0 Q7" call
+    of the same lune that raised and for every such call, and none on all n."""
+    waiting = []  # point counts of the lunes whose "Q5 Q0 Q7" call raised
+    for count, options, raised in calls:
+        assert count < n
+        if options == "Q5 Q0 Q7" and raised:
+            waiting.append(count)
+        elif options == "Q5":
+            assert count in waiting
+            waiting.remove(count)
+        else:
+            assert options == "Q5 Q0 Q7"
+    assert waiting == []
+    reruns = sum(options == "Q5" for _, options, _ in calls)
+    return len(calls) - reruns, reruns
+
+
 @pytest.mark.parametrize("make", [turned_icosa_64, uniform_20k, uniform_100k])
 def test_lune_hull_equals_the_whole_set_hull(make):
     points = make()
     with counting_qhull() as calls:
         faces = convex_hull_triangulation(points).faces
-    assert len(calls) == meshgen._LUNES and max(calls) < len(points)
+    lunes, reruns = lune_protocol(calls, len(points))
+    assert lunes == meshgen._LUNES
+    if make is turned_icosa_64:  # qhull needs its pre-merge on some of these lunes
+        assert reruns >= 1
     assert np.array_equal(faces, whole_set_faces(points))
 
 
 def test_refused_lattice_pass_is_hulled_in_lunes():
     with counting_qhull() as calls:
         cfg = generate("tetrahedron", [(200, 0)])
-    assert len(calls) == meshgen._LUNES and max(calls) < cfg.n
+    assert lune_protocol(calls, cfg.n)[0] == meshgen._LUNES
     assert np.array_equal(cfg.mesh.faces, whole_set_faces(cfg.points))
 
 
@@ -737,8 +757,8 @@ def test_refused_lunes_fall_back_to_the_whole_set(make, lune_calls, message):
             got = convex_hull_triangulation(points).faces
         except GeometryError as exc:
             got = str(exc)
-    assert len(calls) - 1 in lune_calls
-    assert calls[-1] == len(points) and all(n < len(points) for n in calls[:-1])
+    assert lune_protocol(calls[:-1], len(points))[0] in lune_calls
+    assert calls[-1][:2] == (len(points), "Q5")
     want = whole_set_outcome(points)
     if message is not None:
         assert message in want

@@ -128,15 +128,28 @@ def sliver_rows(rng, kind, thickness, m):
     return tuple(np.array(col) for col in zip(*rows))
 
 
+def turned_icosa_64():
+    """icosa 64,0 (N = 40,962) turned and reordered by seeded draws."""
+    rotation = Rotation.random(random_state=11).as_matrix()
+    points = generate("icosahedron", [(64, 0)]).points @ rotation.T
+    return points[np.random.default_rng(11).permutation(len(points))]
+
+
 @contextmanager
 def counting_qhull():
-    """The point count of every qhull call made inside the block."""
+    """(point count, qhull options, whether it raised) of every qhull call
+    made inside the block, in the order the calls end."""
     calls = []
     real = meshgen.ConvexHull
 
-    def counting(points, **kwargs):
-        calls.append(len(points))
-        return real(points, **kwargs)
+    def counting(points, qhull_options=None):
+        raised = True
+        try:
+            hull = real(points, qhull_options=qhull_options)
+            raised = False
+            return hull
+        finally:
+            calls.append((len(points), qhull_options, raised))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(meshgen, "ConvexHull", counting)
