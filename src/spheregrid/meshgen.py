@@ -274,12 +274,9 @@ def validate_mesh(mesh, sphere_tol=1e-12):
 
 
 def _canonical_faces(faces):
-    """Each face rolled to start at its smallest index, rows sorted.
-
-    The sort key is the directed edge from a face's first to its second
-    vertex, which no other face of a closed oriented mesh walks; temporaries
-    are freed once read, and rows keep their int32 dtype.
-    """
+    """Each face rolled to start at its smallest index, rows sorted on the
+    directed edge from a face's first to its second vertex, which no other
+    face of a closed oriented mesh walks."""
     rolled, first = faces.copy(), faces.argmin(axis=1)
     for k in (1, 2):
         rows = np.flatnonzero(first == k)
@@ -316,7 +313,10 @@ def _chunked(fn, n, chunk=_CERT_CHUNK):
         work()
         helper.result()
     if errors:
-        raise errors[min(errors)]
+        try:
+            raise errors[min(errors)]
+        finally:
+            errors.clear()  # its traceback holds the frames that hold this dict
     return [values[k] for k in starts]
 
 
@@ -337,15 +337,16 @@ def _face_checks(xyz, faces):
 def _lune_hull(points):
     """The hull's canonical faces pieced from longitude lunes, or None.
 
-    Lune k holds the points within _LUNE_REACH / sqrt(N) of the k-th of
-    _LUNES sectors about the z axis, and keeps the faces of its qhull hull
-    whose centroid, its corners summed in ascending index order (the same
-    bits in two lunes), falls in its sector.  qhull runs without its
-    pre-merge, depth-first (Q0 Q7), and again merged in its own order only
-    after that raises; a union that ``_is_hull`` certifies is the unique
-    hull, whichever options built it.  None when a lune has fewer than 4
-    points, the merged run fails on one, or ``_is_hull`` refuses the union.
+    From _LUNE_GATE points, lune k holds the points within _LUNE_REACH /
+    sqrt(N) of the k-th of _LUNES sectors about the z axis, and keeps the
+    faces of its qhull hull whose centroid, its corners summed in ascending
+    index order (the same bits in two lunes), falls in its sector.  Round 1
+    runs qhull depth-first without its pre-merge (Q0 Q7), and after any error
+    round 2 with it (Q7); ``_is_hull`` accepts only the unique hull.  None
+    below the gate, on a lune of fewer than 4 points, a round-2 error or a refusal.
     """
+    if len(points) < _LUNE_GATE:
+        return None
     x, y = points[:, 0], points[:, 1]
     reach = _LUNE_REACH / math.sqrt(len(points))
     edge = -np.pi + 2.0 * np.pi * np.arange(_LUNES + 1) / _LUNES
@@ -361,14 +362,10 @@ def _lune_hull(points):
     if min(map(len, lunes)) < 4:
         return None
 
-    def kept(k, _):
+    def kept(k, options):
         # lune ids ascend, so a face's corners sort alike in local and global ids
         part = points[lunes[k]]
-        try:
-            simplices = ConvexHull(part, qhull_options="Q5 Q0 Q7").simplices
-        except QhullError:
-            simplices = ConvexHull(part, qhull_options="Q5").simplices
-        local = _orient_outward(part, simplices)
+        local = _orient_outward(part, ConvexHull(part, qhull_options=options).simplices)
         a, b, c = _corners(part, np.sort(local, axis=1))
         centroid = a + b + c
         sector = np.floor(
@@ -376,32 +373,19 @@ def _lune_hull(points):
         ).astype(np.int64) % _LUNES
         return lunes[k][local[sector == k]]
 
-    try:
-        faces = np.concatenate(_chunked(kept, _LUNES, 1))
-    except QhullError:
-        return None
-    return _canonical_faces(faces) if _is_hull(points, faces) else None
+    for options in ("Q5 Q0 Q7", "Q5 Q7"):
+        try:
+            faces = np.concatenate(_chunked(lambda k, _: kept(k, options), _LUNES, 1))
+        except QhullError:
+            continue
+        return _canonical_faces(faces) if _is_hull(points, faces) else None
+    return None
 
 
-def convex_hull_triangulation(points):
-    """Convex hull of on-sphere points as a triangle mesh, every face facing
-    away from the origin (so not consistently oriented for a set that does
-    not surround it).  Faces index the input array, whose order is kept;
-    rows start at their smallest index and are sorted, as in
-    ``subdivide_mesh``.  From _LUNE_GATE points ``_lune_hull`` goes first;
-    where it gives None, one qhull run over the whole set gives the faces
-    (cocircular ties split alike for a fixed input order) or the error.
-    That run uses Q5: no output reads qhull's outer planes.  Every point must
-    be a hull vertex, as in any duplicate-free set on the sphere;
-    GeometryError otherwise, below 4 points or when qhull fails.
-    """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3 or len(points) < 4:
-        raise GeometryError("hull needs at least 4 distinct 3-d points")
-    if len(points) >= _LUNE_GATE:
-        faces = _lune_hull(points)
-        if faces is not None:
-            return TriangleMesh(vertices=points, faces=faces)
+def _qhull_faces(points):
+    """Canonical outward faces of one qhull run over the whole set (ties split
+    alike for a fixed input order; Q5: no output reads qhull's outer planes),
+    or GeometryError when qhull fails or leaves a point unused."""
     try:
         hull = ConvexHull(points, qhull_options="Q5")
     except QhullError as exc:  # one line; qhull's whole diagnostic stays on __cause__
@@ -413,8 +397,23 @@ def convex_hull_triangulation(points):
             "input points are not all extreme; hull dropped "
             f"{len(points) - used} of them"
         )
-    faces = _orient_outward(points, hull.simplices)
-    return TriangleMesh(vertices=points, faces=_canonical_faces(faces))
+    return _canonical_faces(_orient_outward(points, hull.simplices))
+
+
+def convex_hull_triangulation(points):
+    """Convex hull of on-sphere points as a triangle mesh: ``_lune_hull``'s
+    faces, else ``_qhull_faces``', every face facing away from the origin (so
+    not consistently oriented for a set that does not surround it).  Faces
+    index the input array, whose order is kept; rows start at their smallest
+    index and are sorted, as in ``subdivide_mesh``.  Every point must be a
+    hull vertex, as in any duplicate-free set on the sphere; GeometryError
+    otherwise, below 4 points or when qhull fails.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3 or len(points) < 4:
+        raise GeometryError("hull needs at least 4 distinct 3-d points")
+    faces = _lune_hull(points)
+    return TriangleMesh(vertices=points, faces=_qhull_faces(points) if faces is None else faces)
 
 
 def _canonical_permutation(points):
@@ -578,10 +577,10 @@ def subdivide_mesh(mesh, pair):
     the hull of its points in ``canonical_order``, faces as
     ``convex_hull_triangulation`` orders them: the lattice triangles of the
     pass (``_lattice_faces``) when they pass the hull certificate, else
-    qhull's hull.  The count is checked against the closed form
-    (V - 2) * (m^2 + n^2 + m n) + 2, and the shortest hull edge against
-    DEDUP_TOL; either failure raises ConsistencyError.  A qhull hull that is
-    not closed with V - E + F = 2, or has an inward face, raises GeometryError.
+    ``convex_hull_triangulation``'s.  The count must match the closed form
+    (V - 2) * (m^2 + n^2 + m n) + 2, and a whole-set hull, which no
+    certificate proved, its shortest edge above DEDUP_TOL (else
+    ConsistencyError), V - E + F = 2 and no inward face (else GeometryError).
     """
     m, n = validate_pair(pair)
     xyz = np.ascontiguousarray(np.asarray(mesh.vertices, dtype=np.float64).T)
@@ -636,16 +635,16 @@ def subdivide_mesh(mesh, pair):
     faces, points = rank[faces] if certified else None, points[order]
     del order, rank
     if certified:
-        hull = TriangleMesh(vertices=points, faces=_canonical_faces(faces))
-    else:
-        hull = convex_hull_triangulation(points)
-        _half_edges(hull.faces, len(points))
-        if _face_checks(np.ascontiguousarray(points.T), hull.faces)[1] <= DEDUP_TOL**2:
+        faces = _canonical_faces(faces)
+    elif (faces := _lune_hull(points)) is None:
+        faces = _qhull_faces(points)
+        _half_edges(faces, len(points))
+        if _face_checks(np.ascontiguousarray(points.T), faces)[1] <= DEDUP_TOL**2:
             raise ConsistencyError(
                 f"subdivision produced points within {DEDUP_TOL:g} of each other "
                 f"for pair ({m},{n}) on a {n_vertices}-vertex mesh"
             )
-    return SphericalConfig(points=hull.vertices, pairs=((m, n),), mesh=hull)
+    return SphericalConfig(points=points, pairs=((m, n),), mesh=TriangleMesh(points, faces))
 
 
 def _figure(num, den=1):

@@ -27,7 +27,7 @@ from spheregrid import (
 from spheregrid.cli import main, read_config_csv, run_sweep, write_config_csv, write_obj
 from spheregrid.lattice import _bary_numerators
 from oracle import spiral_points
-from util import child_env, counting_qhull, turned_icosa_64
+from util import child_env, counting_qhull, lune_protocol, turned_icosa_64
 
 
 def run_cli(*args):
@@ -278,19 +278,22 @@ def test_read_side_hulls_a_file_in_lunes(tmp_path, capsys):
 
     def outputs(tag):
         record, obj = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.obj"
-        assert run_cli("metrics", "--in", str(cfg_path), "--out", str(record)) == 0
-        assert run_cli("export", "--in", str(cfg_path), "--format", "obj",
-                       "--out", str(obj)) == 0
-        return record.read_bytes(), obj.read_bytes()
+        rounds = []
+        for args in (["metrics", "--in", str(cfg_path), "--out", str(record)],
+                     ["export", "--in", str(cfg_path), "--format", "obj", "--out", str(obj)]):
+            with counting_qhull() as calls:
+                assert run_cli(*args) == 0
+            rounds.append(lune_protocol(calls, len(points))[1:])
+        return record.read_bytes(), obj.read_bytes(), rounds
 
-    with counting_qhull() as calls:
-        lunes = outputs("lunes")
-    # one lune hull for each command, and no call on all the points
-    assert sum(options == "Q5 Q0 Q7" for _, options, _ in calls) == 2 * meshgen._LUNES
-    assert all(n < len(points) for n, _, _ in calls)
+    # each command hulls the lunes in two rounds (one lune needs qhull's
+    # pre-merge), and makes no call on all the points
+    *lunes, rounds = outputs("lunes")
+    assert rounds == [(meshgen._LUNES, 0)] * 2
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(meshgen, "_LUNE_GATE", len(points) + 1)
-        assert outputs("whole") == lunes
+        *whole, rounds = outputs("whole")
+    assert whole == lunes and rounds == [(0, 1)] * 2
 
 
 def test_writers_match_per_value_formatting():

@@ -33,8 +33,8 @@ from spheregrid.cli import main
 from spheregrid.spherical import _cross, _dot
 from oracle import spiral_points
 from util import (
-    BASES, copied_vertex_tetrahedron, counting_qhull, pretend_cpus, random_sequence,
-    turned_icosa_64, unit_rows,
+    BASES, copied_vertex_tetrahedron, counting_qhull, lune_protocol, pretend_cpus,
+    random_sequence, turned_icosa_64, unit_rows,
 )
 
 
@@ -696,60 +696,73 @@ def equator():
     return np.column_stack([np.cos(t), np.sin(t), 0.0 * t])
 
 
-def lune_protocol(calls, n):
-    """(lunes, reruns) of the lune calls of a hull of n points, once checked:
-    one "Q5 Q0 Q7" call per lune, a "Q5" call only after a "Q5 Q0 Q7" call
-    of the same lune that raised and for every such call, and none on all n."""
-    waiting = []  # point counts of the lunes whose "Q5 Q0 Q7" call raised
-    for count, options, raised in calls:
-        assert count < n
-        if options == "Q5 Q0 Q7" and raised:
-            waiting.append(count)
-        elif options == "Q5":
-            assert count in waiting
-            waiting.remove(count)
-        else:
-            assert options == "Q5 Q0 Q7"
-    assert waiting == []
-    reruns = sum(options == "Q5" for _, options, _ in calls)
-    return len(calls) - reruns, reruns
-
-
 @pytest.mark.parametrize("make", [turned_icosa_64, uniform_20k, uniform_100k])
 def test_lune_hull_equals_the_whole_set_hull(make):
     points = make()
     with counting_qhull() as calls:
         faces = convex_hull_triangulation(points).faces
-    lunes, reruns = lune_protocol(calls, len(points))
-    assert lunes == meshgen._LUNES
-    if make is turned_icosa_64:  # qhull needs its pre-merge on some of these lunes
-        assert reruns >= 1
+    first, second, whole = lune_protocol(calls, len(points))
+    # qhull needs its pre-merge on a lune of the turned icosa 64,0 only
+    assert (second, whole) == (meshgen._LUNES if make is turned_icosa_64 else 0, 0)
     assert np.array_equal(faces, whole_set_faces(points))
 
 
 def test_refused_lattice_pass_is_hulled_in_lunes():
     with counting_qhull() as calls:
         cfg = generate("tetrahedron", [(200, 0)])
-    assert lune_protocol(calls, cfg.n)[0] == meshgen._LUNES
+    assert lune_protocol(calls, cfg.n) == (meshgen._LUNES, 0, 0)
     assert np.array_equal(cfg.mesh.faces, whole_set_faces(cfg.points))
+
+
+def test_a_refused_pass_hulled_in_lunes_is_checked_only_by_the_certificate(monkeypatch):
+    # tetra 128,0 (N = 32,770) is refused and its lunes certify: the hull
+    # has passed _half_edges and _face_checks inside _is_hull, so nothing
+    # checks its faces again
+    inside, calls = [], []
+
+    def counting(name):
+        real = getattr(meshgen, name)
+
+        def call(*args):
+            if name == "_is_hull":
+                inside.append(True)
+                try:
+                    return real(*args)
+                finally:
+                    inside.pop()
+            calls.append((name, len(args[name == "_face_checks"]), bool(inside)))
+            return real(*args)
+
+        monkeypatch.setattr(meshgen, name, call)
+
+    for name in ("_is_hull", "_half_edges", "_face_checks"):
+        counting(name)
+    with counting_qhull() as qhull:
+        cfg = subdivide_mesh(base_polyhedron("tetrahedron"), (128, 0))
+    assert cfg.n == 32_770 and lune_protocol(qhull, cfg.n)[2] == 0
+    faces = 2 * cfg.n - 4
+    # the parent's pairing, the refused lattice mesh's (its edges fail the
+    # certificate before _face_checks), then the lune hull's certificate
+    assert calls == [("_half_edges", 4, False), ("_half_edges", faces, True),
+                     ("_half_edges", faces, True), ("_face_checks", faces, True)]
 
 
 @pytest.mark.parametrize(
     "make,lune_calls,message",
     [
-        (lat_lon_grid, [8], None),
-        (upper_hemisphere, [8], None),
-        (with_inner_point, [8], "hull dropped 1 of them"),
-        (with_near_duplicate, [8], None),
-        (narrow_band, [0], None),
-        (equator, range(1, 9), "convex hull failed"),
+        (lat_lon_grid, [(8, 0)], None),
+        (upper_hemisphere, [(8, 0)], None),
+        (with_inner_point, [(8, 0)], "hull dropped 1 of them"),
+        (with_near_duplicate, [(8, 0)], None),
+        (narrow_band, [(0, 0)], None),
+        (equator, [(k, j) for k in range(1, 9) for j in range(1, 9)], "convex hull failed"),
     ],
 )
 def test_refused_lunes_fall_back_to_the_whole_set(make, lune_calls, message):
     # the certificate refuses ties, a hull that leaves the lunes' union
     # open, a point it leaves unused and an edge shorter than DEDUP_TOL; a
     # lune of fewer than 4 points is refused before qhull runs, and a qhull
-    # error cancels the lunes not yet started
+    # error cancels the lunes not yet started, in each round
     points = make()
     assert len(points) >= meshgen._LUNE_GATE
     with counting_qhull() as calls:
@@ -757,8 +770,8 @@ def test_refused_lunes_fall_back_to_the_whole_set(make, lune_calls, message):
             got = convex_hull_triangulation(points).faces
         except GeometryError as exc:
             got = str(exc)
-    assert lune_protocol(calls[:-1], len(points))[0] in lune_calls
-    assert calls[-1][:2] == (len(points), "Q5")
+    first, second, whole = lune_protocol(calls, len(points))
+    assert (first, second) in lune_calls and whole == 1
     want = whole_set_outcome(points)
     if message is not None:
         assert message in want

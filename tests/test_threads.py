@@ -2,11 +2,13 @@
 metrics' face scan and the lune hulls, whose chunks two threads take in
 turn above a gate of two chunks."""
 
+import gc
 import subprocess
 import sys
 import threading
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -77,6 +79,32 @@ def test_chunks_raise_the_first_failing_chunk_error_and_stop(monkeypatch, cpus):
         meshgen._chunked(fail, 100 * meshgen._CERT_CHUNK)
     # no chunk is handed out after a failure: at most one more in flight
     assert sorted(calls)[:2] == [0, meshgen._CERT_CHUNK] and len(calls) <= 4
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_handled_chunk_error_frees_every_chunk_at_once(monkeypatch, cpus):
+    # a raised chunk's traceback holds its own frame and the loop's; once the
+    # error is handled nothing may keep them alive for the cycle collector,
+    # as two lunes of qhull memory did after a failed lune round
+    pretend_cpus(monkeypatch, cpus)
+    held = []
+
+    def chunk(lo, hi):
+        array = np.empty(hi - lo)
+        held.append(weakref.ref(array))
+        if lo >= 2:
+            raise ValueError(f"chunk at {lo}")
+        return array
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(ValueError, match="chunk at 2$"):
+            meshgen._chunked(chunk, 8, 1)
+        assert len(held) >= 3 and [ref() for ref in held] == [None] * len(held)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_certificate_refuses_a_face_turned_inward_in_its_second_half(monkeypatch, icosa_64):

@@ -1,7 +1,9 @@
 """Shared helpers for the test suite."""
 
+import itertools
 import os
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -154,6 +156,31 @@ def counting_qhull():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(meshgen, "ConvexHull", counting)
         yield calls
+
+
+def lune_protocol(calls, n):
+    """(first, second, whole): the numbers of ``counting_qhull`` calls of a
+    hull of n points in each lune round and on the whole set, once checked.
+    Round 1 runs "Q5 Q0 Q7" on the lunes, on all of them unless one raises;
+    a "Q5 Q7" round follows exactly when one raised, and reruns every lune
+    unless one of its own calls raises; a "Q5" call on all n points comes
+    last, if at all, and always after a round-2 raise."""
+    options = [o for _, o, _ in calls]
+    first = len(list(itertools.takewhile("Q5 Q0 Q7".__eq__, options)))
+    second = len(list(itertools.takewhile("Q5 Q7".__eq__, options[first:])))
+    one, two = calls[:first], calls[first:first + second]
+    whole = [c[:2] for c in calls[first + second:]]
+    assert whole in ([], [(n, "Q5")])
+    assert all(count < n for count, _, _ in one + two)
+    raised = [any(r for _, _, r in c) for c in (one, two)]
+    assert first <= meshgen._LUNES and second <= meshgen._LUNES
+    assert first in (0, meshgen._LUNES) or raised[0]
+    assert (second > 0) == raised[0]
+    assert second in (0, meshgen._LUNES) or raised[1]
+    if second == meshgen._LUNES:  # every lune round 1 reached, again
+        assert Counter(c for c, _, _ in one) <= Counter(c for c, _, _ in two)
+    assert not raised[1] or whole
+    return first, second, len(whole)
 
 
 def pretend_cpus(monkeypatch, count):

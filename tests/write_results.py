@@ -120,16 +120,16 @@ def _refuse(points):
 
 def certified(mesh, pair):
     """Whether the certificate accepts the lattice mesh of the pass; a
-    refused pass stops where it would call qhull."""
-    real = meshgen.convex_hull_triangulation
-    meshgen.convex_hull_triangulation = _refuse
+    refused pass stops where it leaves the lattice route for the hull's."""
+    real = meshgen._lune_hull
+    meshgen._lune_hull = _refuse
     try:
         meshgen.subdivide_mesh(mesh, pair)
         return True
     except _Refused:
         return False
     finally:
-        meshgen.convex_hull_triangulation = real
+        meshgen._lune_hull = real
 
 
 def verdicts():
