@@ -3,14 +3,14 @@
 Usage, from the root of a checkout:
 
     python3 bench/stages.py --out BENCH.json
-    python3 bench/stages.py --config "icosa 1,1;(4,0)^2" --repeat 1 --out smoke.json
-    python3 bench/stages.py --tree base=../base/src --tree change=src \\
-        --block large --repeat 5 --out BENCH.json
+    python3 bench/stages.py --config "icosa 1,1;(4,0)^2" --out smoke.json
+    python3 bench/stages.py --tree base=../base/src --tree change=src --out BENCH.json
 
 Each ``--tree LABEL=SRC`` names a ``src`` directory to import the package
-from (default: this checkout's ``src``).  Every run is a fresh process with
-OpenMP, OpenBLAS and MKL at 1 thread; the package still takes its own
-second thread where it sees 2 CPUs.  A run records the ``generate`` and
+from (default: this checkout's ``src``); ``--config`` picks entries of
+``CONFIGS``, which fixes each one's number of runs.  Every run is a fresh
+process with OpenMP, OpenBLAS and MKL at 1 thread; the package still takes
+its own second thread where it sees 2 CPUs.  A run records the ``generate`` and
 ``evaluate`` wall times, ``ru_maxrss`` after each, and the SHA-256 of the
 int64 faces and of the points, which must equal ``EXPECTED``.  Stage times
 come from wrappers set around the package's private stage functions from
@@ -271,34 +271,28 @@ def summary(runs):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC")
-    parser.add_argument("--block", choices=["north-star", "large", "all"], default="all")
-    parser.add_argument("--config", action="append", default=[], metavar='"BASE SEQ"',
-                        help="run only these configurations, once each unless in CONFIGS")
-    parser.add_argument("--repeat", type=int, help="runs of each configuration and tree")
+    parser.add_argument("--config", action="append", default=[], choices=list(EXPECTED),
+                        metavar='"BASE SEQ"', help="run only these configurations")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
     trees = dict(t.partition("=")[::2] for t in args.tree) or {"this": str(ROOT / "src")}
     trees = {label: Path(src).resolve() for label, src in trees.items()}
-    configs = [c for c in CONFIGS if args.block in ("all", c[0])]
-    if args.config:
-        known = {f"{c[1]} {c[2]}": c for c in CONFIGS}
-        configs = [known.get(c, ("extra", *c.split(None, 1), 1)) for c in args.config]
+    configs = [c for c in CONFIGS if not args.config or f"{c[1]} {c[2]}" in args.config]
     record = {"machine": machine(),
               "trees": {label: tree_record(src) for label, src in trees.items()},
               "runs": []}
     correct = True
     for block, base, seq, runs in configs:
         config = f"{base} {seq}"
-        for k in range(args.repeat or runs):
+        for k in range(runs):
             labels = list(trees)
             labels = labels[k % len(labels):] + labels[:k % len(labels)]
             for label in labels:
                 run = {"tree": label, "config": config, "block": block, "run": k,
                        **run_one(trees[label], base, seq)}
-                want = EXPECTED.get(config)
                 run["correct"] = "error" not in run and (
-                    want is None or want == [run["faces_sha256"], run["points_sha256"]])
+                    EXPECTED[config] == [run["faces_sha256"], run["points_sha256"]])
                 correct &= run["correct"]
                 record["runs"].append(run)
                 print(f"{label:>8} {config:<22} run {k}: " + (

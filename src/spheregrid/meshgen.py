@@ -276,7 +276,7 @@ def validate_mesh(mesh, sphere_tol=1e-12):
 def _canonical_faces(faces):
     """Each face rolled to start at its smallest index, rows sorted on the
     directed edge from a face's first to its second vertex, which no other
-    face of a closed oriented mesh walks."""
+    face of a closed oriented mesh walks; rows keep their int32 dtype."""
     rolled, first = faces.copy(), faces.argmin(axis=1)
     for k in (1, 2):
         rows = np.flatnonzero(first == k)

@@ -163,8 +163,9 @@ def lune_protocol(calls, n):
     hull of n points in each lune round and on the whole set, once checked.
     Round 1 runs "Q5 Q0 Q7" on the lunes, on all of them unless one raises;
     a "Q5 Q7" round follows exactly when one raised, and reruns every lune
-    unless one of its own calls raises; a "Q5" call on all n points comes
-    last, if at all, and always after a round-2 raise."""
+    unless one of its own calls raises; a round-2 raise is always followed
+    by one "Q5" call on all n points, which comes last and may also follow
+    a refusal of the certificate."""
     options = [o for _, o, _ in calls]
     first = len(list(itertools.takewhile("Q5 Q0 Q7".__eq__, options)))
     second = len(list(itertools.takewhile("Q5 Q7".__eq__, options[first:])))
